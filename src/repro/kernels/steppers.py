@@ -8,9 +8,16 @@ here recover the state trajectory with far fewer, far fatter numpy calls:
 * **chunked-LUT stepper** — pre-composes the per-symbol transition
   functions over every possible ``k``-symbol window into one LUT
   ``(symbol-chunk code, state) -> state`` (``n_symbols**k * n_states``
-  entries, cached per FSM). The time loop then advances ``k`` cycles per
-  fancy-indexed gather: ``length/k + 2k`` python iterations, each over the
-  whole batch.
+  entries, cached per FSM). The LUT is built by doubling: the 2-, 4-,
+  8-… step maps are each one gather of the previous map through itself,
+  and the binary digits of ``k`` pick which of them to chain, so a build
+  costs about ``log2 k`` gathers instead of ``k`` full passes. The time
+  loop then advances ``k`` cycles per lookup: ``length/k + 2k`` python
+  iterations. A batch of rows is advanced with one fancy-indexed gather
+  over the whole batch per chunk; a single row (``batch == 1``, the
+  tile-streaming shape) is walked with python ints through a zero-copy
+  ``memoryview`` of the LUT, because a numpy call per chunk on a 1-row
+  array costs far more dispatch than lookup.
 * **log-doubling scan stepper** — materialises each cycle's transition
   function as a ``(batch, length, n_states)`` state-map tensor and
   composes prefixes associatively by Hillis–Steele doubling:
@@ -27,6 +34,7 @@ per ``(length, batch, n_states)`` with a simple cost model.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional, Tuple
 
 import numpy as np
@@ -102,33 +110,60 @@ def _composed_table(fsm: CompiledFSM, k: int, fused: bool) -> np.ndarray:
       ``out_y`` (single-output circuits use bit ``16 + j``). One gather
       per chunk then yields both the state advance and the output bits.
       Requires ``stride * k <= 16`` (the caller caps k).
+
+    Built by doubling (see :func:`_then`): the ``2**i``-step maps come
+    from squaring, and the ones at ``k``'s set bits are chained, shortest
+    first. Every intermediate stays in the table's own dtype.
     """
     key = (k, fused)
     cached = fsm._composed.get(key)
     if cached is None:
-        n_codes = fsm.n_symbols ** k
-        comp = np.broadcast_to(
-            np.arange(fsm.n_states, dtype=fsm.steady.next_state.dtype),
-            (n_codes, fsm.n_states),
-        ).copy()
-        out_words = np.zeros((n_codes, fsm.n_states), dtype=np.uint32) if fused else None
-        codes = np.arange(n_codes, dtype=np.int64)
-        stride = 2 if fsm.steady.out_y is not None else 1
-        for j in range(k):
-            digit = (codes // fsm.n_symbols ** j) % fsm.n_symbols
-            if fused:
-                bits_x = fsm.steady.out_x[digit[:, None], comp]
-                out_words |= bits_x.astype(np.uint32) << np.uint32(stride * j)
-                if stride == 2:
-                    bits_y = fsm.steady.out_y[digit[:, None], comp]
-                    out_words |= bits_y.astype(np.uint32) << np.uint32(2 * j + 1)
-            comp = fsm.steady.next_state[digit[:, None], comp]
+        steady = fsm.steady
+        stride = 2 if steady.out_y is not None else 1
         if fused:
-            cached = comp.astype(np.uint32) | (out_words << np.uint32(16))
+            power = steady.next_state.astype(np.uint32)
+            power |= steady.out_x.astype(np.uint32) << np.uint32(16)
+            if stride == 2:
+                power |= steady.out_y.astype(np.uint32) << np.uint32(17)
         else:
-            cached = comp
+            power = steady.next_state.copy()
+        span, steps = 1, 0
+        while True:
+            if k & span:
+                cached = power if not steps else _then(
+                    cached, steps, power, fused, stride
+                )
+                steps += span
+            if 2 * span > k:
+                break
+            power = _then(power, span, power, fused, stride)
+            span *= 2
         fsm._composed[key] = cached
     return cached
+
+
+def _then(
+    first: np.ndarray, steps: int, second: np.ndarray, fused: bool, stride: int,
+) -> np.ndarray:
+    """The map of ``first`` (``steps`` symbols) followed by ``second``.
+
+    Row ``a + b * len(first)`` is chunk ``a`` of ``first`` then chunk ``b``
+    of ``second`` (little-endian codes, as :func:`_composed_table`), so the
+    whole composition is one ``take`` of ``second``'s columns at
+    ``first``'s states. ``first`` is the shorter map: its states are the
+    index array numpy widens, and the output is the table's own dtype.
+    For fused maps, ``second``'s output bits move up past ``first``'s.
+    """
+    if not fused:
+        return np.take(second, first, axis=1).reshape(-1, first.shape[1])
+    mask = np.uint32(0xFFFF)
+    out = np.take(second, first & mask, axis=1)
+    later = out & ~mask
+    later <<= np.uint32(stride * steps)
+    out &= mask
+    out |= later
+    out |= first & ~mask
+    return out.reshape(-1, first.shape[1])
 
 
 def _chunk_codes(sym3: np.ndarray, n_symbols: int, k: int) -> np.ndarray:
@@ -224,6 +259,63 @@ def _chunked_trajectory(
     return _step_trajectory(next_state, symbols, state, states, chunks * k, length)
 
 
+# ---------------------------------------------------------------------- #
+# Single-row walks. With batch == 1 every numpy call in a per-chunk loop
+# moves one element, so the walks below run the chunk loop on python
+# ints over zero-copy memoryviews of the composed LUTs instead.
+# ---------------------------------------------------------------------- #
+
+def _state_half(fused: np.ndarray) -> np.ndarray:
+    """Zero-copy uint16 view of a fused LUT's state field (low 16 bits)."""
+    halves = fused.view(np.uint16)
+    return halves[0::2] if sys.byteorder == "little" else halves[1::2]
+
+
+def _walk_states(lut: np.ndarray, bases: list, state: int) -> Tuple[list, int]:
+    """Walk one state through chunk rows starting at flat offsets ``bases``.
+
+    Returns the state entering each chunk and the state after the last.
+    """
+    step = memoryview(lut)
+    entry = []
+    append = entry.append
+    for base in bases:
+        append(state)
+        state = step[base + state]
+    return entry, state
+
+
+def _walk_map(lut: np.ndarray, bases: list, row: list) -> list:
+    """Advance one state map ``row`` through the chunk rows at ``bases``.
+
+    Only the distinct states of the map are walked: maps of these FSMs
+    contract (rows entered in different states soon agree), so after a
+    few chunks the walk is one lookup per chunk however many states the
+    FSM has. ``slots[s]`` is entry state ``s``'s position in ``image``.
+    """
+    step = memoryview(lut)
+    image = list(dict.fromkeys(row))
+    position = {s: i for i, s in enumerate(image)}
+    slots = [position[s] for s in row]
+    chunks = iter(bases)
+    if len(image) > 1:
+        for base in chunks:
+            image = [step[base + s] for s in image]
+            merged = list(dict.fromkeys(image))
+            if len(merged) < len(image):
+                position = {s: i for i, s in enumerate(merged)}
+                slots = [position[image[j]] for j in slots]
+                image = merged
+                if len(image) == 1:
+                    break
+    if len(image) == 1:
+        (state,) = image
+        for base in chunks:
+            state = step[base + state]
+        return [state] * len(slots)
+    return [image[j] for j in slots]
+
+
 def chunked_outputs(
     fsm: CompiledFSM, x: np.ndarray, y: np.ndarray, state: np.ndarray,
 ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
@@ -233,11 +325,13 @@ def chunked_outputs(
     The fused chunk LUT carries, next to the k-step state map, the k
     packed per-step output bits — so the hot loop is a *single* flat
     ``take`` per chunk over the batch axis and the state trajectory is
-    never materialised. Chunk codes come straight from the bit planes
-    (:func:`_pair_chunk_codes`), and the packed output words are split
-    into bit matrices with one ``np.unpackbits`` pass. Returns
-    ``(out_x, out_y, final_state)`` over the inputs' full extent
-    (``out_y`` is ``None`` for single-output circuits).
+    never materialised. A single row instead walks its chunk entry states
+    with python ints (:func:`_walk_states`) and fetches every chunk's
+    output word in one ``take`` afterwards. Chunk codes come straight
+    from the bit planes (:func:`_pair_chunk_codes`), and the packed
+    output words are split into bit matrices with one ``np.unpackbits``
+    pass. Returns ``(out_x, out_y, final_state)`` over the inputs' full
+    extent (``out_y`` is ``None`` for single-output circuits).
     """
     next_state = fsm.steady.next_state
     batch, length = x.shape
@@ -253,14 +347,24 @@ def chunked_outputs(
         n_states = np.uint32(fsm.n_states)
         state_mask = np.uint32(0xFFFF)
         codes = _pair_chunk_codes(x, y, chunks, k)
-        words = np.empty((batch, chunks), dtype=np.uint32)
-        st = state.astype(np.uint32)
-        for c in range(chunks):
+        if batch == 1:
             # Flat index fits uint32: n_codes * n_states <= the table cap.
-            f = fused.take(codes[:, c] * n_states + st)
-            words[:, c] = f >> np.uint32(16)
-            st = f & state_mask
-        state = st.astype(next_state.dtype)
+            index = codes * n_states
+            entry, last = _walk_states(
+                _state_half(fused), index[0].tolist(), int(state[0])
+            )
+            index[0] += np.array(entry, dtype=np.uint32)
+            words = fused.take(index) >> np.uint32(16)
+            state = np.array([last], dtype=next_state.dtype)
+        else:
+            words = np.empty((batch, chunks), dtype=np.uint32)
+            st = state.astype(np.uint32)
+            for c in range(chunks):
+                # Flat index fits uint32: n_codes * n_states <= the table cap.
+                f = fused.take(codes[:, c] * n_states + st)
+                words[:, c] = f >> np.uint32(16)
+                st = f & state_mask
+            state = st.astype(next_state.dtype)
         # Split the packed words into bits: little-endian byte view ->
         # one unpackbits pass -> strided slices per output.
         byte_view = words.astype("<u4", copy=False).view(np.uint8)
@@ -377,7 +481,8 @@ def compose_chunk(
     scheduling (:mod:`repro.engine.parallel`).
 
     The steady region advances ``k`` symbols per gather through the same
-    composed chunk LUT as the trajectory steppers; flush-tail cycles
+    composed chunk LUT as the trajectory steppers (a single map walks it
+    with python ints, see :func:`_walk_map`); flush-tail cycles
     (``remaining <= len(fsm.tails)``) step their per-remaining tail
     table exactly as :func:`step_chunk` does, so maps composed across a
     tail-straddling boundary stay exact.
@@ -410,8 +515,12 @@ def compose_chunk(
         flat = _composed_table(fsm, k, fused=False).ravel()
         sym3 = symbols[:, : chunks * k].reshape(batch, chunks, k)
         codes = _chunk_codes(sym3, fsm.n_symbols, k).astype(np.int64)
-        for c in range(chunks):
-            maps = flat.take(codes[:, c, None] * n_states + maps)
+        if batch == 1:
+            row = _walk_map(flat, (codes[0] * n_states).tolist(), maps[0].tolist())
+            maps = np.array([row], dtype=maps.dtype)
+        else:
+            for c in range(chunks):
+                maps = flat.take(codes[:, c, None] * n_states + maps)
     for t in range(chunks * k, steady_len):
         maps = fsm.steady.next_state[symbols[:, t, None], maps]
     for t in range(steady_len, length):

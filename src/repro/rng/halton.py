@@ -14,6 +14,9 @@ converter.
 
 from __future__ import annotations
 
+import functools
+from typing import Tuple
+
 import numpy as np
 
 from .._validation import check_non_negative_int, check_positive_int
@@ -23,18 +26,63 @@ from .base import StreamRNG
 __all__ = ["Halton", "radical_inverse"]
 
 
-def radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
-    """Vectorised base-``b`` radical inverse, returning float64 in [0, 1)."""
-    index = np.asarray(index, dtype=np.int64)
-    result = np.zeros(index.shape, dtype=np.float64)
+# The low-digit tables hold at most this many entries (256 KiB of float64).
+_TABLE_LIMIT = 1 << 15
+
+# Widest output: values are int64, quantised through uint64.
+_MAX_WIDTH = 63
+
+
+@functools.lru_cache(maxsize=16)
+def _low_digits(base: int) -> Tuple[np.ndarray, int, float]:
+    """``(table, span, scale)`` for the ``digits`` lowest base-``b``
+    digits, where ``span = base**digits`` is the largest such power
+    within :data:`_TABLE_LIMIT`: ``table[r]`` is the radical inverse of
+    ``r < span`` summed digit by digit, least significant first, exactly
+    as :func:`radical_inverse` sums every digit; ``scale`` is the weight
+    of the next digit. Read-only, built once per base."""
+    digits, span = 1, base
+    while span * base <= _TABLE_LIMIT:
+        digits, span = digits + 1, span * base
+    remaining = np.arange(span, dtype=np.int64)
+    table = np.zeros(span, dtype=np.float64)
     scale = 1.0 / base
-    remaining = index.copy()
-    # 64-bit indices have at most ~40 base-3 digits; loop until all zero.
-    while remaining.max(initial=0) > 0:
-        digit = remaining % base
-        result += digit * scale
+    for _ in range(digits):
+        table += (remaining % base) * scale
         scale /= base
         remaining //= base
+    table.setflags(write=False)
+    return table, span, scale
+
+
+def radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
+    """Vectorised base-``b`` radical inverse, returning float64 in [0, 1)
+    (up to rounding: a float sum may land on 1.0 or just past it).
+
+    The value of each non-negative ``index`` is the float sum of its
+    base-``b`` digits' weights ``d_j * b**-(j + 1)``, least significant
+    digit first. The lowest digits come from one per-base table lookup;
+    each remaining digit costs one in-place ``divmod`` pass.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    if index.size and index.min() < 0:
+        raise ValueError("radical_inverse needs non-negative indices")
+    table, span, scale = _low_digits(base)
+    high, digit = np.empty_like(index), np.empty_like(index)
+    np.divmod(index, span, out=(high, digit))
+    result = np.empty(index.shape, dtype=np.float64)
+    np.take(table, digit, out=result, mode="clip")
+    top = int(high.max(initial=0))
+    passes = 0
+    while top:
+        top //= base
+        passes += 1
+    weight = np.empty_like(result)
+    for _ in range(passes):
+        np.divmod(high, base, out=(high, digit))
+        np.multiply(digit, scale, out=weight)
+        result += weight
+        scale /= base
     return result
 
 
@@ -44,7 +92,7 @@ class Halton(StreamRNG):
     Args:
         base: radix of the radical inverse (>= 2). Use coprime bases for
             independent sequences.
-        width: output bit width (modulus ``2**width``).
+        width: output bit width (1..63; modulus ``2**width``).
         phase: start index offset (skipping the 0th value, which is 0, is
             conventional; default phase=1 matches common SC practice).
     """
@@ -53,6 +101,10 @@ class Halton(StreamRNG):
         if base < 2:
             raise RNGConfigurationError(f"Halton base must be >= 2, got {base}")
         width = check_positive_int(width, name="width")
+        if width > _MAX_WIDTH:
+            raise RNGConfigurationError(
+                f"Halton width must be <= {_MAX_WIDTH}, got {width}"
+            )
         super().__init__(modulus=1 << width)
         self._base = base
         self._width = width
@@ -77,10 +129,19 @@ class Halton(StreamRNG):
         # The radical inverse is index-addressable, so a window costs
         # O(stop - start) regardless of where it starts — the aperiodic
         # generator the tile-streaming sources still window for free.
-        return self._generate_at(
-            np.arange(start, stop, dtype=np.int64)
-        )
+        return self._quantise(radical_inverse(
+            np.arange(start + self._phase, stop + self._phase, dtype=np.int64),
+            self._base,
+        ))
 
     def _generate_at(self, indices: np.ndarray) -> np.ndarray:
-        fracs = radical_inverse(indices + self._phase, self._base)
-        return np.minimum((fracs * self.modulus).astype(np.int64), self.modulus - 1)
+        return self._quantise(radical_inverse(indices + self._phase, self._base))
+
+    def _quantise(self, fracs: np.ndarray) -> np.ndarray:
+        """``floor(frac * 2**width)``, clamped to ``2**width - 1`` (a float
+        sum may round up to 1.0). Cast through uint64 so that the rounded
+        ``2**63`` of a 63-bit register clamps instead of overflowing."""
+        fracs *= self.modulus
+        values = fracs.astype(np.uint64)
+        np.minimum(values, np.uint64(self.modulus - 1), out=values)
+        return values.view(np.int64)

@@ -17,18 +17,41 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import check_non_negative_int, check_positive_int
+from ..exceptions import RNGConfigurationError
 from .base import PERIOD_CACHE_LIMIT, StreamRNG
 
 __all__ = ["VanDerCorput"]
 
 
+# Widest register: index arithmetic and the reversed values are int64.
+_MAX_WIDTH = 62
+
+# byte -> the byte with its 8 bits in reverse order.
+_REVERSED_BYTE = np.array(
+    [int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.int64
+)
+
+
 def _reverse_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """Bit-reverse each element of ``values`` as a ``width``-bit integer."""
+    """Bit-reverse each element of ``values`` as a ``width``-bit integer.
+
+    One byte lane per pass through a 256-entry reversal table: bit ``j``
+    of the lane at bit ``low`` lands on bit ``width - 1 - low - j``, so
+    the reversed lane shifts left by ``width - 8 - low`` (right, for a
+    top lane narrower than a byte).
+    """
     result = np.zeros_like(values)
-    v = values.copy()
-    for _ in range(width):
-        result = (result << 1) | (v & 1)
-        v >>= 1
+    lane = np.empty_like(values)
+    for low in range(0, width, 8):
+        np.right_shift(values, low, out=lane)
+        lane &= 0xFF
+        np.take(_REVERSED_BYTE, lane, out=lane, mode="clip")
+        shift = width - 8 - low
+        if shift >= 0:
+            lane <<= shift
+        else:
+            lane >>= -shift
+        result |= lane
     return result
 
 
@@ -36,13 +59,17 @@ class VanDerCorput(StreamRNG):
     """Base-2 Van der Corput sequence as a ``width``-bit integer stream.
 
     Args:
-        width: bit width; the period is ``2**width``.
+        width: bit width (1..62); the period is ``2**width``.
         phase: start the sequence at index ``phase`` (rotating the sequence
             gives decorrelated variants sharing one generator core).
     """
 
     def __init__(self, width: int = 8, phase: int = 0) -> None:
         width = check_positive_int(width, name="width")
+        if width > _MAX_WIDTH:
+            raise RNGConfigurationError(
+                f"VanDerCorput width must be <= {_MAX_WIDTH}, got {width}"
+            )
         super().__init__(modulus=1 << width)
         self._width = width
         self._phase = check_non_negative_int(phase, name="phase")
@@ -61,15 +88,14 @@ class VanDerCorput(StreamRNG):
         return self.modulus
 
     def _generate(self, length: int) -> np.ndarray:
-        index = (np.arange(length, dtype=np.int64) + self._phase) % self.modulus
-        return _reverse_bits(index, self._width)
+        return self._values(np.arange(length, dtype=np.int64))
 
     def _generate_window(self, start: int, stop: int):
         # Bit reversal is index-addressable, so windows cost O(window)
         # at any width — wide-register VDC sources stay streamable even
         # when the period is too large for the period cache. Narrow
         # registers decline (return None): tiling the cached period is
-        # cheaper than ``width`` shift passes over the window.
+        # cheaper than the byte-table passes over the window.
         if self.period <= PERIOD_CACHE_LIMIT:
             return None
         return self._generate_at(np.arange(start, stop, dtype=np.int64))
@@ -77,4 +103,10 @@ class VanDerCorput(StreamRNG):
     def _generate_at(self, indices: np.ndarray):
         if self.period <= PERIOD_CACHE_LIMIT:
             return None
-        return _reverse_bits((indices + self._phase) % self.modulus, self._width)
+        return self._values(indices)
+
+    def _values(self, indices: np.ndarray) -> np.ndarray:
+        # The modulus is a power of two: reduce the index with a mask.
+        index = indices + self._phase
+        index &= self.modulus - 1
+        return _reverse_bits(index, self._width)

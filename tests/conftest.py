@@ -6,6 +6,14 @@ import pytest
 from repro.rng import LFSR, Halton, SystemRNG, VanDerCorput
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "slow: a test that takes seconds, not milliseconds (still part of the "
+        "default run; deselect with -m 'not slow')",
+    )
+
+
 @pytest.fixture(autouse=True)
 def _isolated_result_store(tmp_path, monkeypatch):
     """Point the runner's default store at a throwaway directory so CLI

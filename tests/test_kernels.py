@@ -28,6 +28,7 @@ from repro.core import (
     TFMPair,
     TrackingForecastMemory,
 )
+from repro.kernels.steppers import _composed_table, chunked_outputs, compose_chunk
 from repro.rng import LFSR
 
 DEPTHS = (1, 2, 4, 8)
@@ -356,6 +357,162 @@ class TestSteppers:
         fsm = kernels.compile_transform(Synchronizer(1))
         with pytest.raises(ValueError):
             kernels.state_trajectory(fsm, np.zeros((1, 4), np.uint8), strategy="nope")
+
+
+# ---------------------------------------------------------------------- #
+# Single-row walks and doubled LUTs against the loops they replaced
+# ---------------------------------------------------------------------- #
+
+def _per_step_table(fsm, k, fused):
+    """The k-step chunk LUT built one step per full pass: the oracle for
+    the doubling build in ``steppers._composed_table``."""
+    n_codes = fsm.n_symbols ** k
+    comp = np.broadcast_to(
+        np.arange(fsm.n_states, dtype=fsm.steady.next_state.dtype),
+        (n_codes, fsm.n_states),
+    ).copy()
+    out_words = np.zeros((n_codes, fsm.n_states), dtype=np.uint32)
+    codes = np.arange(n_codes, dtype=np.int64)
+    stride = 2 if fsm.steady.out_y is not None else 1
+    for j in range(k):
+        digit = (codes // fsm.n_symbols ** j) % fsm.n_symbols
+        if fused:
+            bits_x = fsm.steady.out_x[digit[:, None], comp]
+            out_words |= bits_x.astype(np.uint32) << np.uint32(stride * j)
+            if stride == 2:
+                bits_y = fsm.steady.out_y[digit[:, None], comp]
+                out_words |= bits_y.astype(np.uint32) << np.uint32(2 * j + 1)
+        comp = fsm.steady.next_state[digit[:, None], comp]
+    if fused:
+        return comp.astype(np.uint32) | (out_words << np.uint32(16))
+    return comp
+
+
+# One instance per compilable type (and both flush modes of the
+# flush-capable ones): the circuits whose tables the LUT build composes.
+LUT_CIRCUITS = [
+    Synchronizer(1), Synchronizer(4, flush=True),
+    Desynchronizer(2), Desynchronizer(4, flush=True),
+    CorDiv(initial=1), CAAdder(), CAMax(counter_bits=4),
+    TrackingForecastMemory(LFSR(8, seed=7)),
+]
+
+# The circuits the single-row walks run: synchronizer and desynchronizer
+# at depths {1, 2, 4}, flush on and off, and the CA adder and CA max.
+WALK_CIRCUITS = [
+    cls(depth, flush=flush)
+    for cls in (Synchronizer, Desynchronizer)
+    for depth in (1, 2, 4)
+    for flush in (False, True)
+] + [CAAdder(), CAMax(counter_bits=1), CAMax(counter_bits=2), CAMax(counter_bits=4)]
+
+
+def _walk_case():
+    """(circuit index, length, seed, row): the batch-of-3 inputs, entry
+    states and maps are drawn from the seed, and ``row`` is the one run
+    alone."""
+    return st.tuples(
+        st.integers(0, len(WALK_CIRCUITS) - 1), st.integers(0, 300),
+        st.integers(0, 2**32 - 1), st.integers(0, 2),
+    )
+
+
+class TestSingleRowWalks:
+    def test_lut_circuits_cover_every_compilable_type(self):
+        assert {type(c) for c in LUT_CIRCUITS} == set(kernels.compilable_types())
+
+    @pytest.mark.parametrize("circuit", LUT_CIRCUITS, ids=repr)
+    def test_doubled_lut_equals_per_step_build(self, circuit):
+        fsm = kernels.compile_transform(circuit)
+        k_max = kernels.choose_chunk(fsm.n_symbols, fsm.n_states)
+        stride = 2 if fsm.steady.out_y is not None else 1
+        for fused in (False, True):
+            if fused and fsm.steady.out_x is None:
+                continue
+            for k in range(1, (min(k_max, 16 // stride) if fused else k_max) + 1):
+                got = _composed_table(fsm, k, fused)
+                want = _per_step_table(fsm, k, fused)
+                assert got.dtype == want.dtype, (k, fused)
+                assert np.array_equal(got, want), (k, fused)
+
+    @given(case=_walk_case())
+    @settings(max_examples=120, deadline=None)
+    def test_chunked_outputs_row_equals_batched_take(self, case):
+        index, length, seed, row = case
+        fsm = kernels.compile_transform(WALK_CIRCUITS[index])
+        rng = np.random.default_rng(seed)
+        x, y = _bits(rng, 3, length), _bits(rng, 3, length)
+        dtype = fsm.steady.next_state.dtype
+        state = rng.integers(0, fsm.n_states, 3).astype(dtype)
+        batched = chunked_outputs(fsm, x, y, state.copy())
+        single = chunked_outputs(
+            fsm, x[row:row + 1], y[row:row + 1], state[row:row + 1].copy()
+        )
+        for got, want in zip(single, batched):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want[row:row + 1])
+
+    @given(case=_walk_case(), remaining_after=st.integers(0, 6))
+    @settings(max_examples=120, deadline=None)
+    def test_step_chunk_row_equals_batched_take(self, case, remaining_after):
+        # Flush circuits step their tail tables around the walked steady
+        # region; the split must not depend on the batch size.
+        index, length, seed, row = case
+        fsm = kernels.compile_transform(WALK_CIRCUITS[index])
+        rng = np.random.default_rng(seed)
+        x, y = _bits(rng, 3, length), _bits(rng, 3, length)
+        state = rng.integers(0, fsm.n_states, 3).astype(np.int16)
+        batched = kernels.step_chunk(fsm, state, x, y, remaining_after=remaining_after)
+        single = kernels.step_chunk(
+            fsm, state[row:row + 1], x[row:row + 1], y[row:row + 1],
+            remaining_after=remaining_after,
+        )
+        for got, want in zip(single, batched):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want[row:row + 1])
+
+    @given(case=_walk_case(), remaining_after=st.integers(0, 6),
+           identity=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_compose_chunk_row_equals_batched_take(self, case, remaining_after, identity):
+        index, length, seed, row = case
+        fsm = kernels.compile_transform(WALK_CIRCUITS[index])
+        rng = np.random.default_rng(seed)
+        symbols = rng.integers(0, 4, (3, length)).astype(np.uint8)
+        if identity:
+            maps = np.tile(np.arange(fsm.n_states, dtype=np.int16), (3, 1))
+        else:
+            maps = rng.integers(0, fsm.n_states, (3, fsm.n_states)).astype(np.int16)
+        batched = compose_chunk(fsm, maps, symbols, remaining_after=remaining_after)
+        single = compose_chunk(
+            fsm, maps[row:row + 1], symbols[row:row + 1],
+            remaining_after=remaining_after,
+        )
+        assert single.dtype == batched.dtype
+        assert np.array_equal(single, batched[row:row + 1])
+
+    @given(length=st.integers(0, 2000), seed=st.integers(0, 2**32 - 1),
+           spread=st.sampled_from(["identity", "random", "constant"]))
+    @settings(max_examples=40, deadline=None)
+    def test_compose_chunk_row_merges_wide_maps_exactly(self, length, seed, spread):
+        # The TFM register has 256 states: the single-row walk follows
+        # only the distinct states of the map, merging them as they meet.
+        fsm = kernels.compile_transform(TrackingForecastMemory(LFSR(8, seed=7)))
+        rng = np.random.default_rng(seed)
+        symbols = rng.integers(0, 2, (3, length)).astype(np.uint8)
+        maps = {
+            "identity": np.tile(np.arange(256, dtype=np.int16), (3, 1)),
+            "random": rng.integers(0, 256, (3, 256)).astype(np.int16),
+            "constant": np.full((3, 256), rng.integers(0, 256), dtype=np.int16),
+        }[spread]
+        batched = compose_chunk(fsm, maps, symbols)
+        for row in range(3):
+            single = compose_chunk(fsm, maps[row:row + 1], symbols[row:row + 1])
+            assert np.array_equal(single, batched[row:row + 1])
 
 
 # ---------------------------------------------------------------------- #

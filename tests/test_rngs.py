@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.exceptions import RNGConfigurationError
 from repro.rng import (
@@ -16,6 +19,36 @@ from repro.rng import (
     make_rng,
     radical_inverse,
 )
+from repro.rng.vandercorput import _reverse_bits
+
+
+def _shift_loop_reverse(values, width):
+    """Bit reversal one bit per pass: the oracle for the byte-table VDC."""
+    result = np.zeros_like(values)
+    v = values.copy()
+    for _ in range(width):
+        result = (result << 1) | (v & 1)
+        v >>= 1
+    return result
+
+
+def _digit_loop_radical_inverse(index, base):
+    """One digit per pass until every index is spent: the oracle for the
+    table-driven radical inverse."""
+    index = np.asarray(index, dtype=np.int64)
+    result = np.zeros(index.shape, dtype=np.float64)
+    scale = 1.0 / base
+    remaining = index.copy()
+    while remaining.max(initial=0) > 0:
+        digit = remaining % base
+        result += digit * scale
+        scale /= base
+        remaining //= base
+    return result
+
+
+def _indices(high):
+    return arrays(np.int64, st.integers(0, 40), elements=st.integers(0, high))
 
 
 class TestLFSR:
@@ -95,6 +128,47 @@ class TestVanDerCorput:
         seq = VanDerCorput(width=8).sequence(16)
         assert sorted((seq >> 4).tolist()) == list(range(16))
 
+    @given(width=st.integers(1, 62), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_byte_table_matches_shift_loop(self, width, data):
+        values = data.draw(_indices((1 << width) - 1))
+        got = _reverse_bits(values, width)
+        assert got.dtype == values.dtype
+        assert np.array_equal(got, _shift_loop_reverse(values, width))
+
+    @given(width=st.integers(1, 62), phase=st.integers(0, 1 << 61),
+           length=st.integers(1, 300), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sequences_match_shift_loop_with_phase(self, width, phase, length, data):
+        vdc = VanDerCorput(width=width, phase=phase)
+        mask = (1 << width) - 1
+
+        def oracle(index):
+            return _shift_loop_reverse((index + phase) & mask, width)
+
+        assert np.array_equal(
+            vdc.sequence(length), oracle(np.arange(length, dtype=np.int64))
+        )
+        start = data.draw(st.integers(0, 1 << 61))
+        assert np.array_equal(
+            vdc.sequence_window(start, start + length),
+            oracle(np.arange(start, start + length, dtype=np.int64)),
+        )
+        indices = data.draw(_indices(1 << 61))
+        assert np.array_equal(vdc.sequence_at(indices), oracle(indices))
+
+    def test_width_above_62_rejected_at_construction(self):
+        # A 63-bit modulus does not fit the int64 index arithmetic: it
+        # used to construct fine and overflow on the first sequence().
+        with pytest.raises(RNGConfigurationError):
+            VanDerCorput(width=63)
+        with pytest.raises(RNGConfigurationError):
+            make_rng("vdc", width=64)
+        widest = VanDerCorput(width=62, phase=5)
+        assert widest.sequence(4).tolist() == _shift_loop_reverse(
+            np.arange(5, 9, dtype=np.int64), 62
+        ).tolist()
+
 
 class TestHalton:
     def test_radical_inverse_base2(self):
@@ -122,6 +196,72 @@ class TestHalton:
         seq = Halton(base=3, width=8).sequence(3**5)
         hist, _ = np.histogram(seq, bins=4, range=(0, 256))
         assert hist.max() - hist.min() <= 4
+
+    @given(base=st.integers(2, 13), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_radical_inverse_matches_digit_loop(self, base, data):
+        index = data.draw(_indices(1 << 62))
+        got = radical_inverse(index, base)
+        assert got.dtype == np.float64 and got.shape == index.shape
+        assert got.tobytes() == _digit_loop_radical_inverse(index, base).tobytes()
+
+    @pytest.mark.parametrize("base", range(2, 14))
+    def test_radical_inverse_edges_match_digit_loop(self, base):
+        # Every index of all-top digits below 2**62 (the float sums that
+        # round to 1.0 or past it), plus the empty input.
+        tops, top = [], base - 1
+        while top <= 1 << 62:
+            tops.append(top)
+            top = top * base + base - 1
+        index = np.array(tops + [0, 1, 1 << 62], dtype=np.int64)
+        want = _digit_loop_radical_inverse(index, base)
+        assert radical_inverse(index, base).tobytes() == want.tobytes()
+        empty = radical_inverse(np.empty(0, dtype=np.int64), base)
+        assert empty.shape == (0,) and empty.dtype == np.float64
+        assert radical_inverse([], base).tobytes() == b""
+        scalar = radical_inverse(base + 2, base)
+        assert scalar.shape == ()
+        assert scalar.tobytes() == _digit_loop_radical_inverse(base + 2, base).tobytes()
+
+    def test_radical_inverse_rejects_negative_indices(self):
+        with pytest.raises(ValueError):
+            radical_inverse(np.array([3, -1]), 3)
+
+    @given(base=st.integers(2, 13), width=st.integers(1, 62),
+           phase=st.integers(0, 1 << 40), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_quantised_values_match_digit_loop(self, base, width, phase, data):
+        modulus = 1 << width
+        halton = Halton(base=base, width=width, phase=phase)
+
+        def oracle(index):
+            fracs = _digit_loop_radical_inverse(index + phase, base)
+            return np.minimum((fracs * modulus).astype(np.int64), modulus - 1)
+
+        start = data.draw(st.integers(0, 1 << 40))
+        assert np.array_equal(
+            halton.sequence_window(start, start + 50),
+            oracle(np.arange(start, start + 50, dtype=np.int64)),
+        )
+        indices = data.draw(_indices(1 << 61))
+        assert np.array_equal(halton.sequence_at(indices), oracle(indices))
+
+    def test_width_above_63_rejected_at_construction(self):
+        # A 64-bit modulus does not fit int64 values: it used to
+        # construct fine and overflow on the first sequence().
+        with pytest.raises(RNGConfigurationError):
+            Halton(width=64)
+        with pytest.raises(RNGConfigurationError):
+            make_rng("halton3", width=65)
+
+    def test_width_63_clamps_a_sum_that_rounds_to_one(self):
+        # Index 2**62 - 1 has 62 one digits: its float sum rounds to 1.0,
+        # which must clamp to the top value, not wrap negative.
+        halton = Halton(base=2, width=63)
+        assert radical_inverse(np.array([(1 << 62) - 1]), 2)[0] == 1.0
+        top = halton.sequence_at(np.array([(1 << 62) - 2, 0]))
+        assert top.tolist() == [(1 << 63) - 1, 1 << 62]
+        assert (halton.sequence(64) >= 0).all()
 
 
 class TestSobol:
