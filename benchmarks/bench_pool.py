@@ -6,32 +6,45 @@ calls cheap. Three tracked properties for :mod:`repro.engine.pool`:
 
 * **warm-call throughput floor** — 64 repeated ``run_streaming`` calls
   on the same compiled plan (N = 2^14, jobs=4) must run >= 3x faster
-  through the warm pool than through the legacy fork-per-call span
-  scheduler. Wall-clock floors only mean something with real cores
-  underneath, so the floor skips below 4 CPUs (same stance as
-  ``bench_parallel_streaming``); the timing rows are archived
-  regardless, so the JSON snapshot records what the box did.
+  through the warm pool than through fork-per-call dispatch. The
+  program no longer has a fork-per-call lane, so the baseline is a
+  stand-in for ``pool_call`` defined here (:func:`_fork_per_call`) and
+  patched into :mod:`repro.engine.parallel`: it installs the span
+  context in the parent, forks a fresh ``ProcessPoolExecutor`` per call
+  whose workers inherit that context, and hands out no shared segments
+  — the lane as it ran before the persistent pool. (A cold persistent
+  pool would be a costlier baseline and so an easier floor.) Wall-clock
+  floors only mean something with real cores underneath, so the floor
+  skips below 4 CPUs (same stance as ``bench_parallel_streaming``); the
+  timing rows are archived regardless, so the JSON snapshot records
+  what the box did.
 * **no regression at jobs=1** — the pool must never tax the sequential
-  walk: ``jobs=1`` takes the same code path whether the pool default is
-  on or off, and the bench bounds the ratio to rule out accidental
-  pool engagement on single-job calls.
-* **runner store byte-identity** — the same spec run through pooled and
-  fork-per-call shard workers must leave byte-identical stores (the
-  runner's content-addressed records are part of the reproducibility
-  contract, so the runtime swap must be invisible on disk).
+  walk: ``jobs=1`` calls made while a warm pool is live are bounded
+  against the same calls after :func:`shutdown_pool`, ruling out
+  accidental pool engagement on single-job calls.
+* **runner store byte-identity** — the same spec run on pooled shard
+  workers (``jobs=2``) and inline (``jobs=1``) must leave byte-identical
+  stores (the runner's content-addressed records are part of the
+  reproducibility contract, so the dispatch lane must be invisible on
+  disk).
 """
 
+import contextlib
+import multiprocessing
 import os
 import pathlib
 import time
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import _snapshot
-from repro import engine
+from repro import engine, obs
+from repro.engine import parallel
 from repro.engine.library import long_stream_graph
-from repro.engine.pool import default_pool, set_default_pool, shutdown_pool
+from repro.engine.pool import _resolve_fn, shutdown_pool
 from repro.engine.streaming import run_streaming
 from repro.runner import ResultStore, run_spec
 
@@ -43,7 +56,7 @@ TILE_WORDS = 16           # 256 words -> 16 tiles: real spans at jobs=4
 JOBS = 4
 CALLS = 64
 MIN_WARM_SPEEDUP = 3.0    # warm pool vs fork-per-call, >= 4 CPUs only
-MAX_JOBS1_RATIO = 1.25    # pool default on must not tax jobs=1
+MAX_JOBS1_RATIO = 1.25    # a live pool must not tax jobs=1
 
 
 def _cpus() -> int:
@@ -53,36 +66,75 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _timed_calls(plan, *, jobs, pooled):
-    """Wall-clock for CALLS repeated runs under one runtime, plus the
-    popcount totals of the last run (for the identity check)."""
-    previous = default_pool()
-    set_default_pool(pooled)
+class _NoSegments:
+    """An arena that hands out no shared segments: kept words and
+    operands travel by pickle."""
+
+    def empty(self, shape, dtype):
+        return np.zeros(shape, dtype=dtype), None
+
+    def wrap(self, obj):
+        return obj
+
+
+class _ForkCall:
+    arena = _NoSegments()
+
+    def __init__(self, executor):
+        self._executor = executor
+
+    def map(self, fn_ref, arglists):
+        fn = _resolve_fn(fn_ref)
+        futures = [self._executor.submit(fn, *args) for args in arglists]
+        return [future.result() for future in futures]
+
+
+@contextlib.contextmanager
+def _fork_per_call(jobs, *, context=None, installer=None, payload=None):
+    """``pool_call`` as a fresh fork per call: the context is installed
+    in the parent and reaches the forked workers by address space."""
+    install = _resolve_fn(installer)
+    if callable(payload):
+        payload = payload(_ForkCall.arena)
+    install(context, payload)
+    executor = ProcessPoolExecutor(
+        max_workers=jobs, mp_context=multiprocessing.get_context("fork")
+    )
     try:
-        if pooled:
-            # Warm-up: fork the workers and install the plan token so the
-            # measured calls see the steady state the pool exists for.
-            run_streaming(plan, N, tile_words=TILE_WORDS, keep=(), jobs=jobs)
-        else:
-            shutdown_pool()  # make every measured call pay the fork
-        started = time.perf_counter()
-        for _ in range(CALLS):
-            result = run_streaming(
-                plan, N, tile_words=TILE_WORDS, keep=(), jobs=jobs
-            )
-        return time.perf_counter() - started, result.ones
+        yield _ForkCall(executor)
     finally:
-        set_default_pool(previous)
+        executor.shutdown()
+        install(None, None)
+        obs.collect_children()
+
+
+def _timed_calls(plan, *, jobs):
+    """Wall-clock for CALLS repeated runs, plus the popcount totals of
+    the last run (for the identity check)."""
+    started = time.perf_counter()
+    for _ in range(CALLS):
+        result = run_streaming(
+            plan, N, tile_words=TILE_WORDS, keep=(), jobs=jobs
+        )
+    return time.perf_counter() - started, result.ones
 
 
 def _run_and_archive():
     plan = engine.compile_graph(long_stream_graph(WIDTH))
 
     sequential = run_streaming(plan, N, tile_words=TILE_WORDS, keep=())
-    warm_s, warm_ones = _timed_calls(plan, jobs=JOBS, pooled=True)
-    fork_s, fork_ones = _timed_calls(plan, jobs=JOBS, pooled=False)
+    # Warm-up: fork the workers and install the plan token so the
+    # measured calls see the steady state the pool exists for.
+    run_streaming(plan, N, tile_words=TILE_WORDS, keep=(), jobs=JOBS)
+    warm_s, warm_ones = _timed_calls(plan, jobs=JOBS)
+    # jobs=1 never engages the pool: same walk with it live or down.
+    one_on_s, _ = _timed_calls(plan, jobs=1)
+    shutdown_pool()
+    one_off_s, _ = _timed_calls(plan, jobs=1)
+    with mock.patch.object(parallel, "pool_call", _fork_per_call):
+        fork_s, fork_ones = _timed_calls(plan, jobs=JOBS)
 
-    # Identity before timing is worth keeping: both runtimes reproduce
+    # Identity before timing is worth keeping: both lanes reproduce
     # the sequential popcounts exactly.
     for name in sequential.ones:
         assert np.array_equal(warm_ones[name], sequential.ones[name]), (
@@ -92,17 +144,13 @@ def _run_and_archive():
             f"fork-per-call changed popcounts on {name}"
         )
 
-    # jobs=1 never engages the pool: same walk either way.
-    one_on_s, _ = _timed_calls(plan, jobs=1, pooled=True)
-    one_off_s, _ = _timed_calls(plan, jobs=1, pooled=False)
-
     speedup = fork_s / warm_s
     jobs1_ratio = one_on_s / one_off_s
     rows = [
         ("warm pool", warm_s, speedup),
         ("fork-per-call", fork_s, 1.0),
-        ("jobs=1 pool on", one_on_s, one_off_s / one_on_s),
-        ("jobs=1 pool off", one_off_s, 1.0),
+        ("jobs=1 pool live", one_on_s, one_off_s / one_on_s),
+        ("jobs=1 pool down", one_off_s, 1.0),
     ]
     lines = [
         f"persistent pool ({CALLS} repeated run_streaming calls, "
@@ -141,7 +189,7 @@ def measured():
 
 def test_identity_rows_recorded(measured):
     # _run_and_archive already asserted popcount identity across both
-    # runtimes; this test exists so the identity check runs on every
+    # lanes; this test exists so the identity check runs on every
     # machine even when the speedup floor below is skipped.
     speedup, jobs1_ratio, _ = measured
     assert speedup > 0 and jobs1_ratio > 0
@@ -164,7 +212,7 @@ def test_warm_pool_speedup_floor(measured):
 def test_no_regression_at_jobs_one(measured):
     _, jobs1_ratio, text = measured
     assert jobs1_ratio <= MAX_JOBS1_RATIO, (
-        f"pool default-on taxed jobs=1 by {jobs1_ratio:.2f}x "
+        f"a live pool taxed jobs=1 by {jobs1_ratio:.2f}x "
         f"(bound is {MAX_JOBS1_RATIO}x)\n{text}"
     )
 
@@ -177,21 +225,17 @@ def _store_bytes(root: pathlib.Path) -> dict:
     }
 
 
-def test_runner_store_byte_identical_pool_on_vs_off(tmp_path):
-    previous = default_pool()
-    try:
-        set_default_pool(True)
+def test_runner_store_byte_identical_pooled_vs_inline(tmp_path):
+    with obs.observe() as trace:
         run_spec("table2", fidelity="smoke", jobs=2, log=None,
                  store=ResultStore(tmp_path / "pooled"))
-        set_default_pool(False)
-        run_spec("table2", fidelity="smoke", jobs=2, log=None,
-                 store=ResultStore(tmp_path / "forked"))
-    finally:
-        set_default_pool(previous)
+    assert trace.metrics["counters"].get("runner.pooled", 0) == 1
+    run_spec("table2", fidelity="smoke", jobs=1, log=None,
+             store=ResultStore(tmp_path / "inline"))
     pooled = _store_bytes(tmp_path / "pooled")
-    forked = _store_bytes(tmp_path / "forked")
-    assert pooled.keys() == forked.keys()
-    assert pooled == forked, "runtime swap changed stored bytes"
+    inline = _store_bytes(tmp_path / "inline")
+    assert pooled.keys() == inline.keys()
+    assert pooled == inline, "dispatch lane changed stored bytes"
 
 
 if __name__ == "__main__":

@@ -92,21 +92,6 @@ def _jobs_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _add_pool_args(sub_parser: argparse.ArgumentParser) -> None:
-    """``--pool`` / ``--no-pool``: flip the persistent worker-pool
-    runtime for this invocation. Results are bit-identical either way —
-    the pool only changes wall-clock time (like ``--jobs``)."""
-    group = sub_parser.add_mutually_exclusive_group()
-    group.add_argument("--pool", dest="pool", action="store_true",
-                       default=None,
-                       help="use the persistent worker-pool runtime for "
-                            "--jobs > 1 (the default; REPRO_NO_POOL=1 "
-                            "flips the default off)")
-    group.add_argument("--no-pool", dest="pool", action="store_false",
-                       help="fork workers per call instead of keeping a "
-                            "warm pool (identical results, slower repeats)")
-
-
 def _add_obs_args(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument("-v", "--verbose", action="store_true",
                             help="per-shard cache hit/miss lines (default "
@@ -151,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     fidelity_group.add_argument("--step", type=int, default=4,
                                 help="legacy level-sweep step override "
                                      "(1 = paper-exhaustive)")
-    _add_pool_args(run_p)
     run_p.add_argument("--jobs", type=int, default=1,
                        help="worker processes for shard execution")
     run_p.add_argument("--seed", type=int, default=None,
@@ -171,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     all_fidelity_group.add_argument("--step", type=int, default=4)
     all_fidelity_group.add_argument("--fidelity", choices=FIDELITIES, default=None)
     all_p.add_argument("--jobs", type=int, default=1)
-    _add_pool_args(all_p)
     all_p.add_argument("--seed", type=int, default=None)
     all_p.add_argument("--force", action="store_true")
     all_p.add_argument("--store", type=pathlib.Path, default=None)
@@ -217,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="span workers for the parallel tile "
                                "scheduler (streaming only; results are "
                                "bit-identical at any count)")
-    _add_pool_args(engine_p)
     engine_p.add_argument("--no-optimize", action="store_true",
                           help="compile the faithful one-step-per-node plan "
                                "(skip structural CSE / arena allocation; the "
@@ -254,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--budget-mb", type=int, default=256,
                          help="materialised-footprint budget before a "
                               "group sheds into streaming execution")
-    _add_pool_args(serve_p)
     serve_p.add_argument("--jobs", type=_jobs_arg, default=1,
                          help="span workers for shed streaming passes")
     serve_p.add_argument("--workers", type=int, default=1,
@@ -692,10 +673,6 @@ def _cmd_bench_serve(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "pool", None) is not None:
-        from .engine.pool import set_default_pool
-
-        set_default_pool(args.pool)
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

@@ -65,7 +65,7 @@ from .plan import (
     graph_signature,
 )
 from .parallel import plan_waves, spans_for
-from .pool import default_pool, get_pool, set_default_pool, shutdown_pool
+from .pool import get_pool, shutdown_pool
 from .streaming import StreamingRun, audit_streaming, run_streaming
 
 # ``engine.compile(graph)`` is the documented spelling; ``compile_graph``
@@ -92,8 +92,6 @@ __all__ = [
     "audit_streaming",
     "plan_waves",
     "spans_for",
-    "default_pool",
-    "set_default_pool",
     "get_pool",
     "shutdown_pool",
     "BatchAudit",

@@ -33,30 +33,27 @@ maps compose. Plans containing a transform without a composer (series
 compositions) and single-tile streams fall back to the sequential walk
 — silently, because the results are identical either way.
 
-Workers come from the **persistent pool** (:mod:`repro.engine.pool`)
-when it will serve this caller: long-lived forked processes that keep
-plan, kernel, and sequence caches warm across calls, receive the walk
-plan by pickle at most once (token-keyed worker cache), and write kept
-nodes' packed words straight into parent-owned shared-memory blocks
+Workers come from the **persistent pool** (:mod:`repro.engine.pool`):
+long-lived forked processes that keep plan, kernel, and sequence caches
+warm across calls, receive the walk plan by pickle at most once
+(token-keyed worker cache), and write kept nodes' packed words straight
+into parent-owned shared-memory blocks
 (:class:`~repro.engine.pool.SharedSink`) instead of pickling span
-buffers back. When the pool declines (``--no-pool``, nested fork, a
-plan whose transform closures don't pickle, a concurrent pooled call)
-the original fork-per-call path runs: workers forked per call inherit
-the plan — including unpicklable closures — by address space, and
-entry states, the only per-task payload, are small arrays. The
-``os.register_at_fork`` hooks in :mod:`repro.engine.executor` /
-:mod:`repro.engine.streaming` rebind their locks in every child, so
-both pools are safe even under a threaded parent. Platforms without
-``fork`` run the span tasks inline — same code path, same bits, no
-parallelism. Bit-identity across all three lanes (pooled, forked,
-inline) is enforced by ``tests/helpers.assert_backends_equivalent``.
+buffers back. The ``os.register_at_fork`` hooks in
+:mod:`repro.engine.executor` / :mod:`repro.engine.streaming` rebind
+their locks in every worker, so the pool is safe to start under a
+threaded parent. When the pool declines (a nested call inside a forked
+worker, no ``fork`` start method, a concurrent pooled call, a plan whose
+transform closures don't pickle), the same installer and span tasks run
+in-process, one span after another — same code path, same bits, no
+parallelism. Bit-identity of the two lanes is enforced by
+``tests/helpers.assert_backends_equivalent``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+import threading
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -69,7 +66,7 @@ from ..bitstream.streaming import (
     tile_bounds,
 )
 from ..kernels.streaming import make_pair_carrier, make_pair_composer
-from ..obs import collect_children, counter_add
+from ..obs import counter_add
 from ..obs import span as obs_span
 from .executor import _OP_KERNELS
 from .plan import ExecutionPlan, FusedChain
@@ -149,12 +146,11 @@ def spans_for(length: int, tile_words: int, jobs: int) -> List[Tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------- #
-# Worker context (inherited by forked workers; never pickled)
+# Span-task context
 # ---------------------------------------------------------------------- #
 
 class _Context:
-    """Everything span workers need, installed as a module global in the
-    parent immediately before the pool forks."""
+    """Everything span tasks need, built by :func:`_pool_install_ctx`."""
 
     __slots__ = (
         "plan", "length", "levels", "rows", "tile_words", "spans",
@@ -162,17 +158,17 @@ class _Context:
         "want_op_scc", "phase1",
     )
 
-    def __init__(self) -> None:
-        self.phase1: Dict[int, dict] = {}
 
-
-_CTX: Optional[_Context] = None
+# Set by the installer in a pool worker or, on the in-process lane, in
+# the calling thread. Thread-local, so concurrent in-process calls (the
+# serving layer's engine threads) never read each other's context.
+_LOCAL = threading.local()
 
 
 def _span_bounds(span: Tuple[int, int]) -> List[Tuple[int, int]]:
     """The span's tiles, with absolute stream offsets."""
     start, stop = span
-    ctx = _CTX
+    ctx = _LOCAL.ctx
     return [
         (start + s, start + e)
         for s, e in tile_bounds(stop - start, ctx.tile_words)
@@ -182,7 +178,7 @@ def _span_bounds(span: Tuple[int, int]) -> List[Tuple[int, int]]:
 def _seeded_carriers(
     groups: Iterable[int], span_start: int, entries: Dict[int, Any]
 ) -> Dict[int, Any]:
-    ctx = _CTX
+    ctx = _LOCAL.ctx
     carriers = {}
     group_batch = _group_batches(ctx.plan, ctx.rows)
     for g in groups:
@@ -215,9 +211,9 @@ def _phase1_task(
     """Compose one span's state maps for every wave-``wave`` transform
     group; earlier waves' carriers run seeded at their scanned entry
     states. Returns ``{group: state_map}``."""
-    # Root span in a forked worker: closing it flushes the worker's
-    # buffered spans/metrics to the session spool. Inline execution
-    # (no fork) just nests it under the caller.
+    # Root span in a pool worker: closing it flushes the worker's
+    # buffered spans/metrics to the session spool. In-process it just
+    # nests under the caller.
     with obs_span("engine.parallel.compose", span=span_index, wave=wave):
         return _phase1_compose(span_index, wave, entries)
 
@@ -225,7 +221,7 @@ def _phase1_task(
 def _phase1_compose(
     span_index: int, wave: int, entries: Dict[int, Any]
 ) -> Dict[int, Any]:
-    ctx = _CTX
+    ctx = _LOCAL.ctx
     info = ctx.phase1[wave]
     span = ctx.spans[span_index]
     bounds = _span_bounds(span)
@@ -309,7 +305,7 @@ def _phase3_task(
 def _phase3_evaluate(
     span_index: int, entries: Dict[int, Any], sink_blocks=None
 ) -> Tuple[Dict[str, ValueAccumulator], Dict[str, OverlapAccumulator], Dict[str, np.ndarray]]:
-    ctx = _CTX
+    ctx = _LOCAL.ctx
     span = ctx.spans[span_index]
     bounds = _span_bounds(span)
 
@@ -354,14 +350,14 @@ def _phase3_evaluate(
 # ---------------------------------------------------------------------- #
 
 def _pool_install_ctx(plan: Optional[ExecutionPlan], payload: Optional[dict]) -> None:
-    """Persistent-worker installer: rebuild the span-task context from
-    the (token-cached) pickled walk plan plus the per-call payload.
-    ``(None, None)`` clears it at call end. The fused schedule is
-    recomputed here — :meth:`ExecutionPlan.fused_schedule` is
-    deterministic, so shipping the ``exposed`` set is enough."""
-    global _CTX
+    """Span-task installer: build the context from the walk plan (the
+    token-cached pickle in a pool worker, the live object in-process)
+    plus the per-call payload. ``(None, None)`` clears it at call end.
+    The fused schedule is recomputed here —
+    :meth:`ExecutionPlan.fused_schedule` is deterministic, so shipping
+    the ``exposed`` set is enough."""
     if plan is None:
-        _CTX = None
+        _LOCAL.ctx = None
         return
     ctx = _Context()
     ctx.plan = plan
@@ -376,14 +372,14 @@ def _pool_install_ctx(plan: Optional[ExecutionPlan], payload: Optional[dict]) ->
     ctx.value_nodes = payload["value_nodes"]
     ctx.want_op_scc = payload["want_op_scc"]
     ctx.phase1 = payload["phase1"]
-    _CTX = ctx
+    _LOCAL.ctx = ctx
 
 
 def _run_phases(run_tasks, spans, waves, phase1, algebra, initial_state,
                 sink_blocks) -> List[tuple]:
-    """Drive phases 1–3 through ``run_tasks(task_name, arglists)`` —
-    the pooled and fork-per-call dispatch arms share this loop, so the
-    scan arithmetic (and therefore the bits) cannot diverge."""
+    """Drive phases 1–3 through ``run_tasks(task_fn, arglists)`` — the
+    pooled and in-process lanes share this loop, so the scan arithmetic
+    (and therefore the bits) cannot diverge."""
     span_entries: List[Dict[int, Any]] = [dict() for _ in spans]
     for w in waves:
         info = phase1[w]
@@ -391,7 +387,7 @@ def _run_phases(run_tasks, spans, waves, phase1, algebra, initial_state,
             (i, w, {g: span_entries[i][g] for g in info["carrier_groups"]})
             for i in range(len(spans))
         ]
-        span_maps = run_tasks("_phase1_task", tasks)
+        span_maps = run_tasks(_phase1_task, tasks)
         with obs_span("engine.parallel.scan", wave=w, spans=len(spans)):
             for g in info["groups"]:
                 state = initial_state[g]
@@ -399,28 +395,9 @@ def _run_phases(run_tasks, spans, waves, phase1, algebra, initial_state,
                     span_entries[i][g] = state
                     state = algebra[g].apply(span_maps[i][g], state)
     return run_tasks(
-        "_phase3_task",
+        _phase3_task,
         [(i, span_entries[i], sink_blocks) for i in range(len(spans))],
     )
-
-
-def _fork_context():
-    """The ``fork`` multiprocessing context, or ``None`` where the
-    platform has no fork (workers then run inline — identical results,
-    no parallelism)."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return None
-
-
-def _run_tasks(pool: Optional[ProcessPoolExecutor], fn, arglists: Sequence[tuple]) -> List:
-    """Run one batch of span tasks, preserving span order in the result
-    list (futures may *complete* out of order; merging stays ordered)."""
-    if pool is None:
-        return [fn(*args) for args in arglists]
-    futures = [pool.submit(fn, *args) for args in arglists]
-    return [future.result() for future in futures]
 
 
 def _composable(plan: ExecutionPlan, length: int, rows: Dict[str, int]) -> bool:
@@ -459,8 +436,6 @@ def _parallel_stream_execute(
     bit-/float-identical results, spans evaluated across a worker pool.
     Falls back to the sequential walk when there is nothing to
     parallelise (a single span) or a carrier does not compose."""
-    global _CTX
-
     # Optimizer integration mirrors the sequential walk: pick the
     # optimized schedule (or its raw twin when overrides split a source
     # merge), resolve keep names to schedule representatives, prune to
@@ -554,11 +529,11 @@ def _parallel_stream_execute(
     }
     counter_add("engine.parallel.spans", len(spans))
 
-    # Lane 1 — persistent pool. The walk plan is the token-cached
-    # context (pickled to each warm worker at most once); the payload
-    # carries everything else, with the fused schedule recomputed
-    # worker-side from `exposed`. Kept nodes get full-length shared
-    # blocks that span workers fill in place — the zero-copy hand-off.
+    # Persistent pool: the walk plan is the token-cached context
+    # (pickled to each warm worker at most once); the payload carries
+    # everything else, with the fused schedule recomputed worker-side
+    # from `exposed`. Kept nodes get full-length shared blocks that span
+    # workers fill in place — the zero-copy hand-off.
     results: Optional[List[tuple]] = None
     pooled_views: Dict[str, np.ndarray] = {}
     payload = {
@@ -568,11 +543,8 @@ def _parallel_stream_execute(
         "keep_set": keep_set, "value_nodes": value_nodes,
         "want_op_scc": want_op_scc, "phase1": phase1,
     }
-    # (`_fork_context() is not None` also gates the persistent pool:
-    # tests patch this module's hook to force the inline lane.)
-    pool_jobs = min(jobs, len(spans)) if _fork_context() is not None else 0
     with pool_call(
-        pool_jobs, context=plan,
+        min(jobs, len(spans)), context=plan,
         installer="repro.engine.parallel:_pool_install_ctx", payload=payload,
     ) as call:
         if call is not None:
@@ -588,8 +560,8 @@ def _parallel_stream_execute(
                 pooled_views[name] = view
                 sink_blocks[name] = desc
             results = _run_phases(
-                lambda task, arglists: call.map(
-                    "repro.engine.parallel:" + task, arglists
+                lambda fn, arglists: call.map(
+                    "repro.engine.parallel:" + fn.__name__, arglists
                 ),
                 spans, waves, phase1, algebra, initial_state, sink_blocks,
             )
@@ -599,49 +571,17 @@ def _parallel_stream_execute(
                 name: np.array(view) for name, view in pooled_views.items()
             }
 
-    # Lane 2 — fork-per-call (pool declined: disabled, nested fork,
-    # unpicklable transform closures, concurrent pooled call). The
-    # context travels by address-space inheritance, so it must be
-    # installed before the executor forks.
+    # In-process lane (the pool declined): the same installer and span
+    # tasks, run here one span after another.
     if results is None:
-        ctx = _Context()
-        ctx.plan = plan
-        ctx.length = length
-        ctx.levels = levels
-        ctx.rows = rows
-        ctx.tile_words = tile_words
-        ctx.spans = spans
-        ctx.schedule = schedule
-        ctx.needs_select = needs_select
-        ctx.keep_set = keep_set
-        ctx.value_nodes = value_nodes
-        ctx.want_op_scc = want_op_scc
-        ctx.phase1 = phase1
-        _CTX = ctx
-
-        mp_context = _fork_context()
-        pool: Optional[ProcessPoolExecutor] = None
-        if mp_context is not None:
-            pool = ProcessPoolExecutor(
-                max_workers=min(jobs, len(spans)), mp_context=mp_context
-            )
-        task_fns = {"_phase1_task": _phase1_task, "_phase3_task": _phase3_task}
+        _pool_install_ctx(plan, payload)
         try:
             results = _run_phases(
-                lambda task, arglists: _run_tasks(
-                    pool, task_fns[task], arglists
-                ),
+                lambda fn, arglists: [fn(*args) for args in arglists],
                 spans, waves, phase1, algebra, initial_state, None,
             )
         finally:
-            if pool is not None:
-                pool.shutdown()
-                # Forked workers flushed their span buffers as their root
-                # spans closed; absorb them now that the pool has joined
-                # (no-op when tracing is off or this process is itself a
-                # forked shard worker — the top-level parent merges then).
-                collect_children()
-            _CTX = None
+            _pool_install_ctx(None, None)
 
     # Ordered merge: accumulator partials sum span by span (integer
     # addition — the totals are the sequential totals); kept words land

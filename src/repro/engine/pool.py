@@ -4,15 +4,12 @@ Every parallel entry point in the repo — the engine's span scheduler
 (:mod:`repro.engine.parallel`), the runner's shard pool
 (:mod:`repro.runner.scheduler`), the accelerator's streaming backend
 (:mod:`repro.pipeline.accelerator`), and the serving layer's over-budget
-shed path (which sheds into ``run_streaming(jobs=stream_jobs)``) — used
-to pay a fresh ``fork`` per call: a new ``ProcessPoolExecutor`` whose
-children start with cold kernel and sequence caches (the at-fork hooks
-drop every memo on purpose, to rebind locks) and whose results travel
-back through pickle. For sweeps of many small-to-medium calls that setup
-dominates the compute.
-
-This module keeps **one process-wide pool of long-lived forked workers**
-instead:
+shed path (which sheds into ``run_streaming(jobs=stream_jobs)``) —
+dispatches through **one process-wide pool of long-lived forked
+workers**. Forking per call would hand every call cold kernel and
+sequence caches (the at-fork hooks drop every memo on purpose, to rebind
+locks) and pickle every result back; for sweeps of many small-to-medium
+calls that setup would dominate the compute.
 
 * :func:`get_pool` lazily forks up to ``jobs`` workers the first time a
   parallel call wants them and reuses them for every later call. Workers
@@ -40,16 +37,15 @@ instead:
   platform quirks) everything silently degrades to pickle — same bits,
   one more copy.
 
-Fallback rules — ``pool_call`` yields ``None`` and the caller runs its
-legacy fork-per-call (or inline) path when:
+Fallback rules — ``pool_call`` yields ``None`` and the caller runs the
+same installer and tasks in-process (same bits, no parallelism) when:
 
-* the pool default is off (``REPRO_NO_POOL=1``, ``--no-pool``,
-  :func:`set_default_pool`), or ``jobs <= 1``;
-* the platform has no ``fork`` start method;
-* this process is itself a forked child (a pool worker, a fork-per-call
-  span worker, a runner shard) — nested persistent pools would leak
-  processes, so children always fall back (``engine.pool.fallback``
-  counters tell the story in ``repro stats``);
+* ``jobs <= 1`` (not counted: nothing was asked of the pool);
+* this process is itself a forked child, e.g. a pool worker running a
+  runner shard — nested persistent pools would leak processes
+  (``engine.pool.fallback.child``);
+* the platform has no ``fork`` start method
+  (``engine.pool.fallback.no_fork``);
 * another thread is mid-call on the pool (``engine.pool.fallback.busy``)
   — the serving layer can shed two streams concurrently, and the second
   must not queue behind the first;
@@ -59,11 +55,10 @@ legacy fork-per-call (or inline) path when:
   not unpickle or install in the worker
   (``engine.pool.fallback.prime``).
 
-Error semantics match the fork-per-call lanes: a task that raises
-re-raises the *original* exception from ``imap``/``map`` (chained to a
-:class:`PoolTaskError` carrying the worker traceback), exactly as
-``future.result()`` re-raises it on the legacy lanes, so callers
-catching specific types behave the same on either runtime. Every reply
+Error semantics match the in-process lane: a task that raises re-raises
+the *original* exception from ``imap``/``map`` (chained to a
+:class:`PoolTaskError` carrying the worker traceback), so callers
+catching specific types behave the same on either lane. Every reply
 carries the request's ``seq`` and is validated against it; when a call
 is abandoned mid-flight, ``end`` waits out (or revives) still-running
 workers before their replies could desync the protocol or their shared
@@ -72,17 +67,15 @@ segments are recycled.
 Observability: workers adopt the parent's tracing session *per call*
 (anchor + spool travel in the prime message, so a session started after
 the pool forked still reaches every worker), flush their buffered spans
-at root-span close exactly like fork-per-call workers, take a final
-flush on shutdown, and the parent absorbs spools via
-``collect_children()`` after every call — records merge exactly once.
-Bit-identity to the fork-per-call path is enforced by
+at root-span close, take a final flush on shutdown, and the parent
+absorbs spools via ``collect_children()`` after every call — records
+merge exactly once. Bit-identity to the in-process lane is enforced by
 ``tests/helpers.assert_backends_equivalent(pool="both")`` and the
 hypothesis property in ``tests/test_pool.py``.
 """
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import importlib
 import os
@@ -103,35 +96,11 @@ __all__ = [
     "SharedSink",
     "WorkerPool",
     "PoolTaskError",
-    "default_pool",
-    "set_default_pool",
     "get_pool",
     "shutdown_pool",
     "pool_call",
     "unwrap",
 ]
-
-
-# ---------------------------------------------------------------------- #
-# Process-wide default (mirrors the optimizer's REPRO_NO_OPTIMIZE knob;
-# the CLI's --pool/--no-pool flags flip it per invocation, and the CI
-# pool-smoke job proves result bytes are independent of the runtime).
-# ---------------------------------------------------------------------- #
-
-_DEFAULT_POOL = os.environ.get("REPRO_NO_POOL", "") not in ("1", "true", "yes")
-
-
-def default_pool() -> bool:
-    """The process-wide default for the persistent-pool runtime."""
-    return _DEFAULT_POOL
-
-
-def set_default_pool(flag: bool) -> bool:
-    """Set the process-wide default; returns the previous value."""
-    global _DEFAULT_POOL
-    previous = _DEFAULT_POOL
-    _DEFAULT_POOL = bool(flag)
-    return previous
 
 
 # Arrays below this size travel by pickle even when segments are
@@ -334,8 +303,8 @@ def attach_view(desc: tuple) -> np.ndarray:
 def unwrap(obj):
     """Resolve a :meth:`SharedArena.wrap` result back to its array; pass
     anything else through unchanged (the task functions call this
-    unconditionally, so the same code serves the pooled and forked
-    paths)."""
+    unconditionally, so the same code serves the pooled and in-process
+    lanes)."""
     if isinstance(obj, tuple) and len(obj) == 4 and obj[0] == "__shm__":
         return attach_view(obj)
     return obj
@@ -366,7 +335,7 @@ def _resolve_fn(ref: str):
     """The module-level function a ``"module:function"`` reference names
     (restricted to this package — task references are code, not data)."""
     module_name, _, func_name = ref.partition(":")
-    if not module_name.startswith("repro"):
+    if module_name != "repro" and not module_name.startswith("repro."):
         raise ValueError(f"task reference outside repro: {ref!r}")
     return getattr(importlib.import_module(module_name), func_name)
 
@@ -374,8 +343,8 @@ def _resolve_fn(ref: str):
 def _sync_session(obs_state, seed) -> None:
     """Match this worker's ambient state to the parent's at call time:
     tracing session (anchor + spool — the pool may predate the session)
-    and ambient RNG seed. Fork-per-call workers get both by inheritance;
-    persistent workers forked once, so the prime message carries them."""
+    and ambient RNG seed. Workers forked once, possibly before the
+    session or seed existed, so the prime message carries both."""
     from ..obs import tracer as _tracer
     from ..rng import factory as _factory
 
@@ -484,10 +453,9 @@ class PoolTaskError(RuntimeError):
 def _remote_error(rest: Sequence[Any]) -> BaseException:
     """The exception a worker's ``err`` reply should surface: the
     original exception when it pickles — so the pooled lane raises the
-    same types the fork-per-call lanes re-raise from
-    ``future.result()`` — chained to a :class:`PoolTaskError` that
-    carries the worker-side traceback; a bare :class:`PoolTaskError`
-    when the original cannot travel."""
+    same types the in-process lane raises — chained to a
+    :class:`PoolTaskError` that carries the worker-side traceback; a
+    bare :class:`PoolTaskError` when the original cannot travel."""
     cause = PoolTaskError(f"{rest[0]}\n{rest[1]}")
     blob = rest[2] if len(rest) > 2 else None
     if blob is not None:
@@ -628,8 +596,8 @@ class WorkerPool:
 
     def shutdown(self) -> None:
         """Stop every worker and unlink every shared segment. Idempotent
-        — safe to call twice, from atexit, or on a pool that never
-        started a worker."""
+        — safe to call twice, at interpreter exit, or on a pool that
+        never started a worker."""
         with self._lock:
             if self._closed:
                 return
@@ -879,15 +847,22 @@ class PoolCall:
 _POOL: Optional[WorkerPool] = None
 _POOL_LOCK = threading.Lock()
 _IN_FORK_CHILD = False
-_ATEXIT_REGISTERED = False
+_TEARDOWN_REGISTERED = False
+
+# Pool teardown runs inside multiprocessing's own exit hook, ahead of
+# its join of non-daemonic children: the workers are non-daemonic, and
+# joining them before they get "stop" would hang interpreter exit. A
+# plain ``atexit`` registration only runs first when
+# ``multiprocessing.util`` happens to be imported earlier, because exit
+# hooks run in reverse registration order.
+_TEARDOWN_PRIORITY = 10
 
 
 def _after_fork_in_child() -> None:
-    # Any forked child — a pool worker, a fork-per-call span worker, a
-    # runner shard — must neither use the inherited pool handles (the
-    # pipes belong to the parent) nor lazily start a nested persistent
-    # pool that would outlive its transient host. Children fall back to
-    # fork-per-call, which is exactly the pre-pool behaviour.
+    # Any forked child — a pool worker, a runner shard — must neither
+    # use the inherited pool handles (the pipes belong to the parent)
+    # nor lazily start a nested persistent pool that would outlive its
+    # transient host. Children run their parallel calls in-process.
     global _POOL, _IN_FORK_CHILD
     _IN_FORK_CHILD = True
     _POOL = None
@@ -898,6 +873,9 @@ if hasattr(os, "register_at_fork"):
 
 
 def _fork_context():
+    """The ``fork`` multiprocessing context, or ``None`` where the
+    platform has none (tests patch this hook to force the in-process
+    lane)."""
     try:
         import multiprocessing
 
@@ -908,20 +886,27 @@ def _fork_context():
 
 def get_pool(jobs: int) -> Optional[WorkerPool]:
     """The process-wide pool grown to ``jobs`` workers, or ``None`` when
-    the persistent runtime cannot serve this caller (default off, child
+    the persistent runtime cannot serve this caller (``jobs <= 1``, child
     process, no fork) — see the module docstring's fallback rules."""
-    global _POOL, _ATEXIT_REGISTERED
-    if jobs <= 1 or not _DEFAULT_POOL or _IN_FORK_CHILD:
+    global _POOL, _TEARDOWN_REGISTERED
+    if jobs <= 1:
+        return None
+    if _IN_FORK_CHILD:
+        counter_add("engine.pool.fallback.child")
         return None
     mp_context = _fork_context()
     if mp_context is None:
+        counter_add("engine.pool.fallback.no_fork")
         return None
     with _POOL_LOCK:
         if _POOL is None or _POOL._closed or _POOL.origin_pid != os.getpid():
             _POOL = WorkerPool(mp_context)
-            if not _ATEXIT_REGISTERED:
-                atexit.register(shutdown_pool)
-                _ATEXIT_REGISTERED = True
+            if not _TEARDOWN_REGISTERED:
+                from multiprocessing import util
+
+                util.Finalize(None, shutdown_pool,
+                              exitpriority=_TEARDOWN_PRIORITY)
+                _TEARDOWN_REGISTERED = True
         pool = _POOL
     pool.ensure(jobs)
     return pool
@@ -929,8 +914,8 @@ def get_pool(jobs: int) -> Optional[WorkerPool]:
 
 def shutdown_pool() -> None:
     """Stop the process-wide pool (idempotent; the next :func:`get_pool`
-    starts a fresh one). Registered with :mod:`atexit`, called by the
-    serving layer's teardown, and safe to call when no pool exists."""
+    starts a fresh one). Runs at interpreter exit, is called by the
+    serving layer's teardown, and is safe to call when no pool exists."""
     global _POOL
     with _POOL_LOCK:
         pool, _POOL = _POOL, None
@@ -942,9 +927,10 @@ def shutdown_pool() -> None:
 def pool_call(jobs: int, *, context=None, installer: Optional[str] = None,
               payload=None):
     """``with pool_call(jobs, ...) as call:`` — a primed
-    :class:`PoolCall`, or ``None`` when the caller must run its legacy
-    fork-per-call path (see the module docstring's fallback rules; every
-    reason is counted under ``engine.pool.fallback.*``).
+    :class:`PoolCall`, or ``None`` when the caller must run its
+    installer and tasks in-process (see the module docstring's fallback
+    rules; every reason but ``jobs <= 1`` is counted under
+    ``engine.pool.fallback.*``).
 
     A *callable* ``payload`` is invoked with the call's
     :class:`SharedArena` once the call slot is held — the hook for
@@ -972,8 +958,8 @@ def pool_call(jobs: int, *, context=None, installer: Optional[str] = None,
             return
         except PoolTaskError:
             # The context/payload pickled here but failed to unpickle or
-            # install worker-side; the legacy lane is known-good, so
-            # fall back rather than hard-fail the call.
+            # install worker-side; the in-process lane is known-good,
+            # so fall back rather than hard-fail the call.
             counter_add("engine.pool.fallback.prime")
             yield None
             return
@@ -983,7 +969,7 @@ def pool_call(jobs: int, *, context=None, installer: Optional[str] = None,
             with contextlib.suppress(Exception):
                 call.end()
             # Workers flushed span buffers at root-span close; absorb
-            # them now, exactly where the fork-per-call paths do.
+            # them now.
             collect_children()
         else:
             # A callable payload may have wrapped operands into segments

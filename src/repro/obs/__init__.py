@@ -21,19 +21,19 @@ Quickstart::
     print(obs.profile_tree(trace))                # human tree
     print(obs.render_stats(obs.stats_doc(trace))) # metrics + hit rates
 
-Cross-process traces come for free: forked workers (runner shards,
-parallel span workers — even shard workers that fork span workers)
-inherit the session, record against the same ``perf_counter`` anchor,
-flush when their root span closes, and merge at every pool join — one
-coherent timeline, summed metrics. See :mod:`repro.obs.tracer`.
+Cross-process traces come for free: pool workers (runner shards,
+parallel span workers) join the session, record against the same
+``perf_counter`` anchor, flush when their root span closes, and merge at
+the end of every pooled call — one coherent timeline, summed metrics.
+See :mod:`repro.obs.tracer`.
 
 Recording API (all no-ops while disabled):
 
 * :func:`span` — ``with obs.span("engine.execute", length=n):``
 * :func:`counter_add` / :func:`gauge_set` / :func:`histogram_record`
 * :func:`start` / :func:`stop` / :func:`observe` — session lifecycle
-* :func:`collect_children` — absorb forked workers' buffers (pool joins
-  call this; user code rarely needs to)
+* :func:`collect_children` — absorb forked workers' buffers (pooled
+  calls do this; user code rarely needs to)
 """
 
 from . import metrics as _metrics

@@ -25,12 +25,13 @@ Cross-process story (the at-fork pattern of the engine's memo caches):
   are useless here (forked pool workers die by ``os._exit``), so the
   flush is deterministic span-close work instead;
 * the parent absorbs spool files via :func:`collect_children` — called
-  after every pool join in :mod:`repro.engine.parallel`,
-  :mod:`repro.runner.scheduler`, :mod:`repro.pipeline.accelerator`, and
-  once more at :func:`stop`. In a *second-level* fork (runner shard
-  worker → span workers) the mid-level worker's ``collect_children`` is
-  a no-op: grandchild spool lines simply wait in the shared spool
-  directory for the top-level parent, so nothing merges twice.
+  at the end of every pooled call (:func:`repro.engine.pool.pool_call`),
+  at pool shutdown, and once more at :func:`stop`. Inside a forked child
+  ``collect_children`` is a no-op, so records from processes it forked
+  wait in the shared spool directory for the top-level parent and
+  nothing merges twice. A ``jobs > 1`` call nested in a forked child
+  (a runner shard on a pool worker) runs in-process and forks nothing:
+  its spans buffer in the child and flush with the child's root span.
 """
 
 from __future__ import annotations
@@ -300,7 +301,7 @@ def collect_children() -> int:
 # Persistent-worker adoption
 # ---------------------------------------------------------------------- #
 #
-# Fork-per-call workers join the parent's session by address-space
+# A child forked inside a session joins it by address-space
 # inheritance. The persistent pool's workers fork *once* — possibly
 # before any session exists — so each pooled call primes them with the
 # parent's (anchor, spool) and they adopt/leave the session explicitly.

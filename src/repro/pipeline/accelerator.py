@@ -34,6 +34,7 @@ equality).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -42,7 +43,7 @@ import numpy as np
 from .._validation import check_jobs, check_tile_words
 from ..core.synchronizer import Synchronizer
 from ..engine.pool import pool_call, unwrap
-from ..obs import collect_children, counter_add
+from ..obs import counter_add
 from ..obs import span as obs_span
 from ..exceptions import PipelineError
 from ..hardware import EFFECTIVE_CYCLE_US, Netlist, components, report
@@ -63,14 +64,12 @@ VARIANTS = ("none", "regeneration", "synchronizer")
 # bytes — large images keep the vectorisation win at bounded memory.
 _ENGINE_CHUNK_BYTES = 64 << 20
 
-# Worker context for the parallel streaming backend. Persistent pool
-# workers build it through :func:`_pool_install_stream_ctx` (the
-# accelerator travels by pickle at most once, the patch stack as a
-# shared-memory descriptor); fork-per-call workers read it by
-# address-space inheritance, installed immediately before the span pool
-# forks — per-task pickles then carry only a span index plus small state
-# arrays. Mirrors ``repro.engine.parallel._CTX``.
-_STREAM_CTX = None
+# Span-task context for the parallel streaming backend, built by
+# :func:`_pool_install_stream_ctx` — in a pool worker (the accelerator
+# travels by pickle at most once, the patch stack as a shared-memory
+# descriptor) or, on the in-process lane, in the calling thread.
+# Thread-local for the reason ``repro.engine.parallel._LOCAL`` is.
+_LOCAL = threading.local()
 
 
 class _SynchronizerFactory:
@@ -87,14 +86,13 @@ class _SynchronizerFactory:
 
 
 def _pool_install_stream_ctx(acc, payload) -> None:
-    """Persistent-worker installer for the streaming span tasks;
-    ``(None, None)`` clears the context at call end."""
-    global _STREAM_CTX
+    """Installer for the streaming span tasks (pool worker or
+    in-process); ``(None, None)`` clears the context at call end."""
     if acc is None:
-        _STREAM_CTX = None
+        _LOCAL.ctx = None
         return
     patches, tile_words, spans = payload
-    _STREAM_CTX = (acc, unwrap(patches), tile_words, spans)
+    _LOCAL.ctx = (acc, unwrap(patches), tile_words, spans)
 
 
 def _stream_windows(span, tile_words):
@@ -111,10 +109,10 @@ def _stream_windows(span, tile_words):
 def _stream_counts_task(span_index: int) -> np.ndarray:
     """Regeneration pass 1 over one span: blurred 1-count partials
     (integer sums — span partials merge to the sequential totals)."""
-    # Root span in a forked span worker: closing it flushes the worker's
-    # obs buffers for the parent pool join to collect.
+    # Root span in a pool worker: closing it flushes the worker's obs
+    # buffers for the parent to collect when the call ends.
     with obs_span("pipeline.stream.counts", span=span_index):
-        acc, patches, tile_words, spans = _STREAM_CTX
+        acc, patches, tile_words, spans = _LOCAL.ctx
         tiles = patches.shape[0]
         bt = acc._config.blur_tile
         counts = np.zeros((tiles * bt * bt,), dtype=np.int64)
@@ -131,7 +129,7 @@ def _stream_compose_task(span_index: int):
     from ..kernels.streaming import make_pair_composer
 
     with obs_span("pipeline.stream.compose", span=span_index):
-        acc, patches, tile_words, spans = _STREAM_CTX
+        acc, patches, tile_words, spans = _LOCAL.ctx
         span = spans[span_index]
         tiles = patches.shape[0]
         bt = acc._config.blur_tile
@@ -181,7 +179,7 @@ def _stream_detect_task(span_index: int, states, regen_counts) -> np.ndarray:
 
     regen_counts = unwrap(regen_counts)  # shm descriptor on the pooled lane
     with obs_span("pipeline.stream.detect", span=span_index):
-        acc, patches, tile_words, spans = _STREAM_CTX
+        acc, patches, tile_words, spans = _LOCAL.ctx
         span = spans[span_index]
         cfg = acc._config
         n = acc._n
@@ -424,7 +422,7 @@ class SCAccelerator:
         from those counts alone — still O(window) memory.
 
         ``jobs > 1`` splits the time axis into contiguous window spans
-        evaluated across a forked worker pool
+        evaluated across the persistent worker pool
         (:meth:`_process_tiles_streaming_parallel`); outputs are
         float-identical at any job count.
         """
@@ -490,9 +488,10 @@ class SCAccelerator:
         self, patches: np.ndarray, tile_words: int, jobs: int
     ) -> Optional[np.ndarray]:
         """Span-parallel streaming detection over the time axis, or
-        ``None`` when there is nothing to parallelise (a single span, no
-        fork, a non-composing pair transform) — the caller then runs the
-        sequential window walk.
+        ``None`` when there is nothing to parallelise (a single span, a
+        non-composing pair transform) — the caller then runs the
+        sequential window walk. When the pool declines, the same span
+        tasks run in-process.
 
         Same three-phase scan as :mod:`repro.engine.parallel`: the
         synchronizer variant composes both pair FSMs' state maps per span
@@ -504,9 +503,7 @@ class SCAccelerator:
         scales ~jobs/2; the carrier-free variants skip phase 1 and scale
         ~jobs (regeneration's two passes each parallelise directly).
         """
-        global _STREAM_CTX
-        from concurrent.futures import ProcessPoolExecutor
-        from ..engine.parallel import _fork_context, _run_tasks, spans_for
+        from ..engine.parallel import spans_for
         from ..kernels.streaming import make_pair_carrier, make_pair_composer
 
         cfg = self._config
@@ -537,14 +534,14 @@ class SCAccelerator:
             )
 
         def _phases(run_tasks, wrap):
-            # The three-phase body, dispatch-agnostic: ``run_tasks`` is
-            # the pooled or forked task runner, ``wrap`` ships the
-            # regeneration counts (identity on the forked lane, a shared
-            # segment descriptor on the pooled one).
+            # The three-phase body, lane-agnostic: ``run_tasks`` runs a
+            # task function over its arglists on the pool or in-process,
+            # ``wrap`` ships the regeneration counts (a shared segment
+            # descriptor on the pooled lane, identity in-process).
             regen_counts = None
             if cfg.variant == "regeneration":
                 partials = run_tasks(
-                    "_stream_counts_task", [(i,) for i in range(len(spans))]
+                    _stream_counts_task, [(i,) for i in range(len(spans))]
                 )
                 regen_counts = np.zeros((tiles * bt * bt,), dtype=np.int64)
                 for partial in partials:
@@ -553,7 +550,7 @@ class SCAccelerator:
             span_states = [None] * len(spans)
             if sync:
                 span_maps = run_tasks(
-                    "_stream_compose_task", [(i,) for i in range(len(spans))]
+                    _stream_compose_task, [(i,) for i in range(len(spans))]
                 )
                 states = initial
                 for i, maps in enumerate(span_maps):
@@ -564,57 +561,38 @@ class SCAccelerator:
 
             shipped = wrap(regen_counts) if regen_counts is not None else None
             return run_tasks(
-                "_stream_detect_task",
+                _stream_detect_task,
                 [(i, span_states[i], shipped) for i in range(len(spans))],
             )
 
+        # Persistent pool: the accelerator is the token-cached context,
+        # the patch stack travels as a shared segment (zero-copy), and
+        # workers keep kernel/sequence caches warm across frames.
         partials = None
-        if _fork_context() is not None:  # tests patch this hook to force inline
-            # Lane 1 — persistent pool: the accelerator is the
-            # token-cached context, the patch stack travels as a shared
-            # segment (zero-copy), workers keep kernel/sequence caches
-            # warm across frames.
-            with pool_call(
-                min(jobs, len(spans)), context=self,
-                installer="repro.pipeline.accelerator:_pool_install_stream_ctx",
-                payload=lambda arena: (arena.wrap(patches), tile_words, spans),
-            ) as call:
-                if call is not None:
-                    counter_add("pipeline.stream.pooled")
-                    partials = _phases(
-                        lambda name, tasks: call.map(
-                            "repro.pipeline.accelerator:" + name, tasks
-                        ),
-                        call.arena.wrap,
-                    )
+        with pool_call(
+            min(jobs, len(spans)), context=self,
+            installer="repro.pipeline.accelerator:_pool_install_stream_ctx",
+            payload=lambda arena: (arena.wrap(patches), tile_words, spans),
+        ) as call:
+            if call is not None:
+                counter_add("pipeline.stream.pooled")
+                partials = _phases(
+                    lambda fn, tasks: call.map(
+                        "repro.pipeline.accelerator:" + fn.__name__, tasks
+                    ),
+                    call.arena.wrap,
+                )
 
         if partials is None:
-            # Lane 2 — fork-per-call: the context (with the factory and
-            # patch stack) travels by address-space inheritance.
-            _STREAM_CTX = (self, patches, tile_words, spans)
-            mp_context = _fork_context()
-            pool = None
-            if mp_context is not None:
-                pool = ProcessPoolExecutor(
-                    max_workers=min(jobs, len(spans)), mp_context=mp_context
-                )
-            task_fns = {
-                "_stream_counts_task": _stream_counts_task,
-                "_stream_compose_task": _stream_compose_task,
-                "_stream_detect_task": _stream_detect_task,
-            }
+            # In-process lane: the same installer and span tasks, here.
+            _pool_install_stream_ctx(self, (patches, tile_words, spans))
             try:
                 partials = _phases(
-                    lambda name, tasks: _run_tasks(pool, task_fns[name], tasks),
+                    lambda fn, tasks: [fn(*args) for args in tasks],
                     lambda obj: obj,
                 )
             finally:
-                if pool is not None:
-                    pool.shutdown()
-                    # Absorb forked span workers' obs buffers (no-op when
-                    # tracing is off).
-                    collect_children()
-                _STREAM_CTX = None
+                _pool_install_stream_ctx(None, None)
 
         edge_ones = np.zeros((pairs,), dtype=np.int64)
         for partial in partials:
@@ -640,8 +618,8 @@ class SCAccelerator:
         configurations. Outputs are identical across all three.
 
         ``jobs`` applies to the streaming backend only: time-window spans
-        are evaluated across a forked worker pool with synchronizer state
-        handed off via prefix-scanned state maps
+        are evaluated across the persistent worker pool with synchronizer
+        state handed off via prefix-scanned state maps
         (:meth:`_process_tiles_streaming_parallel`), float-identical to
         ``jobs=1``. The other backends are already one vectorised pass
         and ignore it.

@@ -75,9 +75,8 @@ def get_default_seed() -> Optional[int]:
 
 def set_default_seed(seed: Optional[int]) -> Optional[int]:
     """Install the ambient seed non-contextually; returns the previous
-    value. Fork-per-call workers inherit the ambient seed by address
-    space; the persistent pool's long-lived workers sync it with this at
-    every call prime instead."""
+    value. The persistent pool's long-lived workers sync it with this at
+    every call prime."""
     global _DEFAULT_SEED
     previous = _DEFAULT_SEED
     _DEFAULT_SEED = seed

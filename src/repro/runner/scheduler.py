@@ -3,9 +3,9 @@
 :func:`run_many` is the one path from "experiment definition" to
 "result": expand each requested spec into shards (:mod:`.spec`), look
 every shard up in the content-addressed store (:mod:`.store`), execute
-only the misses — inline for ``jobs=1``, on the persistent worker pool
-(:mod:`repro.engine.pool`, warm caches across shards *and* runs) or a
-per-run ``ProcessPoolExecutor`` when the pool declines — and merge
+only the misses — on the persistent worker pool
+(:mod:`repro.engine.pool`, warm caches across shards *and* runs) for
+``jobs > 1``, inline for ``jobs=1`` or when the pool declines — and merge
 payloads (cached and fresh are byte-for-byte the same representation)
 into :class:`ExperimentResult` objects, recording a manifest per run so
 :mod:`.report` can regenerate artifacts later.
@@ -13,26 +13,24 @@ into :class:`ExperimentResult` objects, recording a manifest per run so
 Shards from *all* requested specs are scheduled onto one shared pool, so
 ``run all`` load-balances the 15 Table II kernel passes alongside the
 small single-shard experiments instead of draining one spec at a time.
-Workers are forked where the platform allows it (no re-import cost) and
-re-used across shards, so per-process caches — engine plans, compiled
-FSM kernels — amortize exactly as in a serial run. ``jobs`` is an
-execution-only parameter on every lane: store payloads are bit-identical
-at any worker count and with the pool on or off.
+Workers are forked once (no re-import cost) and re-used across shards,
+so per-process caches — engine plans, compiled FSM kernels — amortize
+exactly as in a serial run. ``jobs`` is an execution-only parameter:
+store payloads are bit-identical at any worker count and on either
+lane.
 """
 
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..analysis.experiments import ExperimentResult
 from ..engine.pool import pool_call
-from ..obs import collect_children, counter_add
+from ..obs import counter_add
 from ..obs import span as obs_span
 from .spec import SPEC_REGISTRY, ExperimentSpec, Shard, content_params, get_spec
 from .store import DEFAULT_STORE_ENV, ResultStore
@@ -72,15 +70,6 @@ class RunReport:
     @property
     def all_from_cache(self) -> bool:
         return self.computed == 0
-
-
-def _pool(jobs: int, tasks: int) -> ProcessPoolExecutor:
-    workers = max(1, min(jobs, tasks))
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # platforms without fork: pay the spawn import cost
-        context = multiprocessing.get_context()
-    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
 
 def run_many(
@@ -184,44 +173,26 @@ def run_many(
                     },
                 )
 
+            # Prefer the persistent pool (warm plan/kernel caches across
+            # shards *and* across runs); shards stream back in completion
+            # order, so each payload still persists the moment it lands.
+            # ``jobs <= 1`` or a declining pool (nested fork, busy) runs
+            # the shards inline — payloads are bit-identical either way,
+            # and a failing shard re-raises its original exception type
+            # on both lanes.
             items = list(pending.items())
-            if jobs <= 1:
-                for key, task in items:
-                    _finish(key, execute_shard(task))
-            else:
-                # Prefer the persistent pool (warm plan/kernel caches
-                # across shards *and* across runs); shards stream back in
-                # completion order, so each payload still persists the
-                # moment it lands. The pool declining (disabled, nested
-                # fork, busy) falls back to the per-run fork pool below —
-                # shard payloads are bit-identical either way, a failing
-                # shard re-raises its original exception type on both
-                # lanes, and shard workers on both lanes may themselves
-                # fork span workers (pool processes are non-daemonic on
-                # purpose).
-                with pool_call(min(jobs, len(items))) as call:
-                    if call is not None:
-                        counter_add("runner.pooled")
-                        keys = [key for key, _ in items]
-                        for index, payload in call.imap(
-                            "repro.runner.workers:execute_shard",
-                            [(task,) for _, task in items],
-                        ):
-                            _finish(keys[index], payload)
-                    else:
-                        try:
-                            with _pool(jobs, len(items)) as pool:
-                                futures = {
-                                    pool.submit(execute_shard, task): key
-                                    for key, task in items
-                                }
-                                for future in as_completed(futures):
-                                    _finish(futures[future], future.result())
-                        finally:
-                            # Absorb the shard workers' span/metric
-                            # buffers (flushed when each worker's root
-                            # span closed; a no-op with tracing off).
-                            collect_children()
+            with pool_call(min(jobs, len(items))) as call:
+                if call is not None:
+                    counter_add("runner.pooled")
+                    keys = [key for key, _ in items]
+                    for index, payload in call.imap(
+                        "repro.runner.workers:execute_shard",
+                        [(task,) for _, task in items],
+                    ):
+                        _finish(keys[index], payload)
+                else:
+                    for key, task in items:
+                        _finish(key, execute_shard(task))
 
         reports: List[RunReport] = []
         for plan in plans:

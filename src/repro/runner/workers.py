@@ -1,7 +1,8 @@
 """Shard execution — the code that runs inside worker processes.
 
-:func:`execute_shard` is the single entry point the scheduler submits to
-its ``ProcessPoolExecutor`` (and calls inline for ``--jobs 1``). It is
+:func:`execute_shard` is the single entry point the scheduler dispatches
+to persistent pool workers (and calls inline for ``--jobs 1`` or when the
+pool declines). It is
 deliberately thin: install the ambient seed, call the shard function,
 serialize the payload. Everything heavyweight the shards rely on — the
 engine plan cache, the compiled FSM kernel cache, the Sobol
@@ -29,17 +30,14 @@ __all__ = ["ShardTask", "execute_shard"]
 # including, in a threaded parent, a lock held by a thread that does not
 # exist in the child. The ``os.register_at_fork`` hooks in
 # ``repro.engine.executor`` / ``repro.engine.streaming`` rebind fresh
-# locks and drop those memos in every forked child, and spawn-started
-# workers import fresh modules, so shards always start with clean,
-# unlocked caches — no per-shard reset is needed here.
+# locks and drop those memos in every forked child, so shards always
+# start with clean, unlocked caches — no per-shard reset is needed here.
 #
-# Shards may themselves fork: a shard running with ``jobs > 1`` (the
-# ``long_stream`` audits) spawns the parallel tile scheduler's span
-# workers (``repro.engine.parallel``) from *this* worker process. The
-# same at-fork hooks fire on that second-level fork, so nested span
-# workers also start with fresh locks; jobs-within-jobs multiplies
-# process counts, which is why the CLI threads one ``--jobs`` value to
-# either the shard pool or the tile scheduler, not both.
+# A shard may itself ask for parallelism: one running with ``jobs > 1``
+# (the ``long_stream`` audits) calls the parallel tile scheduler
+# (``repro.engine.parallel``) from *this* worker process. A pool worker
+# is a forked child, so the pool declines (``engine.pool.fallback.child``)
+# and the span tasks run in-process here — no grandchild processes.
 
 
 @dataclass(frozen=True)

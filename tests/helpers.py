@@ -37,11 +37,11 @@ def assert_backends_equivalent(
     group executor (:func:`repro.serve.batcher.execute_group`) must
     return bit-identical streams and byte-identical payloads whether a
     request is served solo or coalesced between other requests.
-    ``pool`` selects the execution runtime for the parallel leg:
-    ``"default"`` leaves the persistent worker pool setting alone;
-    ``"both"`` runs the parallel leg twice — once through the warm
-    pool and once through fork-per-call workers — and requires the
-    two runtimes to agree bit for bit.
+    ``pool`` selects the dispatch lanes for the parallel leg:
+    ``"default"`` runs whichever lane serves the call (the warm pool
+    where it can); ``"both"`` also runs the leg with the pool declined
+    (no ``fork`` start method, patched), so the span tasks run
+    in-process, and requires the two lanes to agree bit for bit.
     """
     import contextlib
 
@@ -58,6 +58,16 @@ def assert_backends_equivalent(
             serve=serve,
             pool=pool,
         )
+
+
+def in_process_lane():
+    """Decline the persistent pool as on a platform without ``fork``:
+    ``jobs > 1`` calls then run their span tasks in-process."""
+    from unittest import mock
+
+    from repro.engine import pool as pool_mod
+
+    return mock.patch.object(pool_mod, "_fork_context", return_value=None)
 
 
 _OPTIMIZE_FLAGS = {"optimized": (True,), "raw": (False,), "both": (True, False)}
@@ -87,22 +97,16 @@ def _assert_backends_equivalent(
             stream = engine.run_streaming(plan, length, tile_words=tw)
             par = engine.run_streaming(plan, length, tile_words=tw, jobs=jobs)
             if pool == "both":
-                from repro.engine.pool import default_pool, set_default_pool
-
-                previous = default_pool()
-                set_default_pool(not previous)
-                try:
+                with in_process_lane():
                     other = engine.run_streaming(
                         plan, length, tile_words=tw, jobs=jobs
                     )
-                finally:
-                    set_default_pool(previous)
                 for name in interp:
                     assert np.array_equal(other.words(name), par.words(name)), (
-                        "pool vs fork-per-call", name, length, tw, jobs, flag,
+                        "pool vs in-process", name, length, tw, jobs, flag,
                     )
                     assert np.array_equal(other.ones[name], par.ones[name]), (
-                        "pool vs fork-per-call ones", name, length, tw, jobs, flag,
+                        "pool vs in-process ones", name, length, tw, jobs, flag,
                     )
             for name in interp:
                 assert np.array_equal(stream.bits(name)[0], eng[name]), (

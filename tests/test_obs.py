@@ -2,14 +2,15 @@
 
 Pins the tracing contract end to end: span nesting and attribution in
 one process, metric merge semantics, cross-process aggregation under
-fork (including second-level forks: a shard-style worker that itself
-forks span workers), exporter output against golden files, and the
+fork (including a shard-style forked worker whose own ``jobs > 1`` call
+runs in-process), exporter output against golden files, and the
 load-bearing invariant that enabling tracing never changes a result bit
 (the cross-backend equivalence matrix run inside a session).
 """
 
 import json
 import multiprocessing
+import os
 import pathlib
 import time
 
@@ -237,11 +238,11 @@ class TestInstrumentation:
 
 def _shard_like_worker(length):
     """Module-level worker: runs the parallel tile scheduler *from a
-    forked child* — a second-level fork, like a runner shard running a
-    ``jobs>1`` streaming audit."""
+    forked child*, like a runner shard on a pool worker running a
+    ``jobs>1`` streaming audit. Returns its pid and every node's words."""
     plan = engine.compile(build_graph("fsm_zoo"))
     result = plan.run_streaming(length, tile_words=2, jobs=2)
-    return int(sum(int(np.sum(v)) for v in result.ones.values()))
+    return os.getpid(), {name: result.words(name) for name in plan.node_order}
 
 
 def _fork_pool(workers):
@@ -263,13 +264,8 @@ class TestCrossProcess:
         assert {s["pid"] for s in evaluate} <= worker_pids
         assert {s["pid"] for s in evaluate} == worker_pids
         counters = trace.metrics["counters"]
-        # Fork-per-call forks span workers inside the session; an
-        # already-warm persistent pool forks nothing — its workers adopt
-        # the session instead. Either way the worker spans merged above.
-        assert (
-            counters.get("process.forks", 0) >= 2
-            or counters.get("engine.parallel.pooled", 0) >= 1
-        )
+        # Pool workers adopt the session instead of being forked into it.
+        assert counters.get("engine.parallel.pooled", 0) >= 1
         for name in baseline.ones:
             assert baseline.ones[name] == traced.ones[name]
 
@@ -283,15 +279,27 @@ class TestCrossProcess:
             assert rec["t0"] + rec["dur"] <= session_end + 0.05
 
     def test_second_level_fork_merges_exactly_once(self):
+        # A jobs=2 call inside a forked child cannot use the pool; it
+        # runs its span tasks in-process: jobs=1 bits, no grandchild,
+        # one counted decline, and its spans merge exactly once.
+        length = 1 << 12
+        plan = engine.compile(build_graph("fsm_zoo"))
+        reference = plan.run_streaming(length, tile_words=2)
         with obs.observe() as trace:
             with _fork_pool(1) as pool:
-                total = pool.submit(_shard_like_worker, 1 << 12).result()
-            absorbed = obs.collect_children()
-        assert total > 0
-        assert absorbed >= 2  # the mid-level child + its span workers
-        # origin + mid-level worker + at least one grandchild span worker
-        assert len(trace.processes) >= 3
-        # Grandchild spans appear once, offset-linked to their own roots.
+                pid, words = pool.submit(_shard_like_worker, length).result()
+            assert obs.collect_children() >= 1
+            assert obs.collect_children() == 0  # nothing merges twice
+        for name in plan.node_order:
+            assert np.array_equal(words[name], reference.words(name)), name
+        assert trace.processes == [pid]
+        counters = trace.metrics["counters"]
+        assert counters["process.forks"] == 1
+        assert counters["engine.pool.fallback.child"] == 1
+        assert counters.get("engine.parallel.pooled", 0) == 0
+        evaluate = trace.by_name("engine.parallel.evaluate")
+        assert sorted(rec["args"]["span"] for rec in evaluate) == [0, 1]
+        # Every span appears once, offset-linked to its own parent.
         for rec in trace.spans:
             if rec["parent"] >= 0:
                 parent = trace.spans[rec["parent"]]

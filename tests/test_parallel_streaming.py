@@ -9,8 +9,6 @@ stores, plus the composer algebra (associative, offset-correct span
 maps) the state hand-off relies on.
 """
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +23,6 @@ from repro.core import (
     Synchronizer,
     TFMPair,
 )
-from repro.engine import parallel as parallel_mod
 from repro.engine import run_streaming, audit_streaming
 from repro.engine.executor import audit, run_batch
 from repro.engine.library import GRAPH_LIBRARY, build_graph, long_stream_graph
@@ -35,7 +32,7 @@ from repro.graph.graph import SCGraph
 from repro.graph.nodes import TransformNode
 from repro.kernels.streaming import make_pair_carrier, make_pair_composer
 from repro.rng import LFSR
-from tests.helpers import assert_backends_equivalent
+from tests.helpers import assert_backends_equivalent, in_process_lane
 
 compile_graph = engine.compile
 
@@ -51,12 +48,6 @@ def _state_equal(a, b) -> bool:
             and all(_state_equal(p, q) for p, q in zip(a, b))
         )
     return np.array_equal(np.asarray(a), np.asarray(b))
-
-
-def _inline_scheduler():
-    """Run the three-phase scheduler without forking: same code path,
-    span tasks executed in-process (fast enough for hypothesis)."""
-    return mock.patch.object(parallel_mod, "_fork_context", return_value=None)
 
 
 # ---------------------------------------------------------------------- #
@@ -245,8 +236,9 @@ class TestSplitProperties:
     @settings(max_examples=15, deadline=None)
     def test_fsm_zoo_any_split_bit_identical(self, length, tile_words, jobs):
         # Every (tile size, span count) partition of a three-wave FSM
-        # graph reproduces the sequential bits exactly.
-        with _inline_scheduler():
+        # graph reproduces the sequential bits exactly (span tasks run
+        # in-process: same code path, fast enough for hypothesis).
+        with in_process_lane():
             plan = compile_graph(build_graph("fsm_zoo"))
             ref = run_batch(plan, length)
             result = run_streaming(plan, length, tile_words=tile_words, jobs=jobs)

@@ -1,13 +1,14 @@
 """Persistent execution runtime (repro.engine.pool).
 
 The pool must be a pure *runtime* swap: warm long-lived workers with
-shared-memory arenas produce exactly the bits the fork-per-call lanes
-and the sequential walk produce. These tests pin that contract — the
+shared-memory arenas produce exactly the bits the in-process lane and
+the sequential walk produce. These tests pin that contract — the
 hypothesis bit-identity property across every pair family, the warm
 plan-cache behaviour on repeat calls, killed-worker respawn, the
-fallback rules (off / busy / unpicklable / jobs=1), idempotent
-shutdown, and the :class:`SharedArena` segment lifecycle (freelist
-reuse, zero-copy round trips, no ``/dev/shm`` residue).
+fallback rules (no fork / busy / unpicklable / jobs=1), idempotent
+shutdown, clean interpreter exit, and the :class:`SharedArena` segment
+lifecycle (freelist reuse, zero-copy round trips, no ``/dev/shm``
+residue).
 """
 
 import glob
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import engine, obs
 from repro.engine import pool as pool_mod
 from repro.engine import run_streaming
@@ -32,16 +34,14 @@ from repro.engine.pool import (
     SharedArena,
     SharedSink,
     attach_view,
-    default_pool,
     get_pool,
     pool_call,
-    set_default_pool,
     shutdown_pool,
     unwrap,
 )
 from repro.graph.graph import SCGraph
 from repro.graph.nodes import TransformNode
-from tests.helpers import assert_backends_equivalent
+from tests.helpers import assert_backends_equivalent, in_process_lane
 from tests.test_parallel_streaming import PAIR_FAMILIES
 
 compile_graph = engine.compile
@@ -50,15 +50,6 @@ pytestmark = pytest.mark.skipif(
     pool_mod._fork_context() is None,
     reason="persistent pool requires the fork start method",
 )
-
-
-@pytest.fixture(autouse=True)
-def _pool_enabled():
-    """Run every test with the pool on, restoring the ambient default."""
-    previous = default_pool()
-    set_default_pool(True)
-    yield
-    set_default_pool(previous)
 
 
 def _test_arena() -> SharedArena:
@@ -96,7 +87,7 @@ def _pair_graph(factory):
 
 
 # ---------------------------------------------------------------------- #
-# 1. Bit identity: pool == fork-per-call == sequential
+# 1. Bit identity: pool == in-process == sequential
 # ---------------------------------------------------------------------- #
 
 class TestPoolBitIdentity:
@@ -109,22 +100,19 @@ class TestPoolBitIdentity:
     def test_pool_fork_sequential_bit_identical(self, factory, length,
                                                 tile_words):
         # The tentpole property: for every pair family, the warm pool,
-        # the legacy fork-per-call scheduler, and the sequential walk
-        # produce the same words and the same popcounts.
+        # the in-process span lane, and the sequential walk produce the
+        # same words and the same popcounts.
         plan = compile_graph(_pair_graph(factory))
         sequential = run_streaming(plan, length, tile_words=tile_words, jobs=1)
         pooled = run_streaming(plan, length, tile_words=tile_words, jobs=3)
-        set_default_pool(False)
-        try:
-            forked = run_streaming(plan, length, tile_words=tile_words, jobs=3)
-        finally:
-            set_default_pool(True)
+        with in_process_lane():
+            inline = run_streaming(plan, length, tile_words=tile_words, jobs=3)
         for name in plan.node_order:
             assert np.array_equal(pooled.words(name), sequential.words(name)), (
                 "pool vs sequential", name, length, tile_words,
             )
-            assert np.array_equal(forked.words(name), sequential.words(name)), (
-                "fork vs sequential", name, length, tile_words,
+            assert np.array_equal(inline.words(name), sequential.words(name)), (
+                "in-process vs sequential", name, length, tile_words,
             )
             assert np.array_equal(pooled.ones[name], sequential.ones[name]), (
                 "pool vs sequential ones", name, length, tile_words,
@@ -132,7 +120,7 @@ class TestPoolBitIdentity:
 
     def test_matrix_runs_on_both_runtimes(self):
         # The cross-backend matrix with the pool axis: the parallel leg
-        # agrees bit for bit whichever runtime serves it.
+        # agrees bit for bit whichever lane serves it.
         assert_backends_equivalent(
             build_graph("fsm_zoo"), 2111, tile_words=(2,), jobs=3, pool="both"
         )
@@ -226,25 +214,30 @@ class TestRespawn:
 
 class TestFallbacksAndLifecycle:
     def test_jobs_one_never_pools(self):
-        assert get_pool(1) is None
+        # jobs <= 1 asks nothing of the pool, so it counts no fallback.
+        with obs.observe() as trace:
+            assert get_pool(1) is None
+            with pool_call(1) as call:
+                assert call is None
+        counters = trace.metrics["counters"]
+        assert not any(k.startswith("engine.pool.fallback") for k in counters)
 
     def test_pool_off_falls_back(self):
-        set_default_pool(False)
-        assert get_pool(4) is None
-        with pool_call(4) as call:
-            assert call is None
-
-    def test_env_gate_disables_default(self):
-        code = (
-            "from repro.engine.pool import default_pool; "
-            "print(default_pool())"
-        )
-        env = dict(os.environ, REPRO_NO_POOL="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env,
-            capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "False"
+        # No fork start method: the pool declines (counted) and a
+        # parallel call runs its span tasks in-process, same bits.
+        plan = compile_graph(build_graph("fsm_zoo"))
+        ref = run_batch(plan, 2048)
+        with in_process_lane(), obs.observe() as trace:
+            assert get_pool(4) is None
+            with pool_call(4) as call:
+                assert call is None
+            result = run_streaming(plan, 2048, tile_words=1, jobs=2)
+        counters = trace.metrics["counters"]
+        assert counters.get("engine.pool.fallback.no_fork", 0) == 3
+        assert counters.get("engine.parallel.pooled", 0) == 0
+        assert counters.get("process.forks", 0) == 0
+        for name in plan.node_order:
+            assert np.array_equal(result.words(name), ref.words(name)), name
 
     def test_busy_pool_falls_back_with_counter(self):
         pool = get_pool(2)
@@ -281,9 +274,8 @@ class TestFallbacksAndLifecycle:
 
     def test_task_error_reraises_original_exception(self):
         # A failing task surfaces its *original* exception type — the
-        # same ValueError future.result() would re-raise on the
-        # fork-per-call lanes — with the worker traceback chained as a
-        # PoolTaskError cause.
+        # same ValueError the in-process lane would raise — with the
+        # worker traceback chained as a PoolTaskError cause.
         with pool_call(2) as call:
             if call is None:
                 pytest.skip("pool unavailable")
@@ -324,7 +316,7 @@ class TestFallbacksAndLifecycle:
 
     def test_prime_failure_falls_back_with_counter(self):
         # Pickles in the parent, explodes in the worker's pickle.loads:
-        # the call must fall back to the legacy lane (counted), not
+        # the call must fall back to the in-process lane (counted), not
         # hard-fail, and the pool must stay usable afterwards.
         with obs.observe() as trace:
             with pool_call(2, context=_ExplodesInWorker()) as call:
@@ -339,8 +331,43 @@ class TestFallbacksAndLifecycle:
             ) == list(range(4))
 
     def test_fn_refs_are_restricted_to_repro(self):
-        with pytest.raises(ValueError):
-            pool_mod._resolve_fn("os:system")
+        # Only the repro package itself: a module whose name merely
+        # starts with "repro" is outside it and must not be imported.
+        for ref in ("os:system", "reproduction_helper:payload"):
+            with pytest.raises(ValueError):
+                pool_mod._resolve_fn(ref)
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_process_exits_cleanly_after_pooled_call(self, traced):
+        # The workers are non-daemonic, so multiprocessing's exit hook
+        # joins them; the pool must stop them first, whatever the import
+        # order. One pooled call, then a plain interpreter exit: it must
+        # return promptly and leave no shared segment behind.
+        code = "\n".join([
+            "import os",
+            "from repro import engine, obs",
+            "from repro.engine.library import build_graph",
+            "plan = engine.compile(build_graph('depth8'))",
+            "with obs.observe():" if traced else "if True:",
+            "    run = engine.run_streaming(plan, 1 << 16, tile_words=1,",
+            "                               jobs=2, keep=('n8',))",
+            "assert run.ones",
+            "print(os.getpid())",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=30,
+        )
+        assert out.returncode == 0, out.stderr
+        pid = int(out.stdout.split()[-1])
+        pattern = f"/dev/shm/{pool_mod._SHM_PREFIX}_{pid}_*"
+        assert glob.glob(pattern) == []
+        assert "leaked shared_memory" not in out.stderr
 
 
 # ---------------------------------------------------------------------- #

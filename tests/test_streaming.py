@@ -59,7 +59,7 @@ from repro.exceptions import EncodingError, GraphCompilationError
 from repro.kernels import compiled_kernel, make_pair_carrier, step_chunk
 from repro.kernels.dispatch import _run_tables
 from repro.rng import LFSR, make_rng
-from tests.helpers import assert_backends_equivalent
+from tests.helpers import assert_backends_equivalent, in_process_lane
 
 # Tile sizes from the issue's acceptance grid, in 64-bit words.
 TILE_WORDS_GRID = (1, 7, 64, 4096)
@@ -518,6 +518,27 @@ class TestStreamingPipeline:
         )
         assert np.array_equal(reference.output, streamed.output)
         assert reference.mean_abs_error == streamed.mean_abs_error
+
+    @pytest.mark.parametrize("variant", ["none", "regeneration", "synchronizer"])
+    def test_parallel_streaming_backend_on_both_lanes(self, variant):
+        # jobs=2 span-parallel detection equals the sequential window
+        # walk, on the warm pool and on the in-process lane alike.
+        from repro import obs
+        from repro.pipeline import AcceleratorConfig, SCAccelerator
+        from repro.pipeline.images import blob_image
+
+        image = blob_image(12)
+        config = AcceleratorConfig(variant=variant, stream_length=192, tile=10)
+        acc = SCAccelerator(config)
+        sequential = acc.process(image, backend="streaming", tile_words=1)
+        with obs.observe() as trace:
+            pooled = acc.process(image, backend="streaming", tile_words=1, jobs=2)
+        with in_process_lane():
+            inline = acc.process(image, backend="streaming", tile_words=1, jobs=2)
+        counters = trace.metrics["counters"]
+        assert counters.get("pipeline.stream.pooled", 0) >= 1
+        assert np.array_equal(pooled.output, sequential.output)
+        assert np.array_equal(inline.output, sequential.output)
 
 
 class TestLongStreamSpec:
