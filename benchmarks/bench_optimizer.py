@@ -10,11 +10,12 @@ Two tracked numbers for :mod:`repro.engine.optimize`:
   packs to 4 and the 80 scheduled ops to 20, and the arena recycles
   the survivors' buffers; the floor is ``>= 1.5x``.
 * **arena peak-memory reduction** — the depth-64 MUX scaled-add chain,
-  materialised ``run_batch`` over a 256-configuration sweep, measured
+  whole-stream ``run_batch`` over a 256-configuration sweep, measured
   with ``tracemalloc``: the faithful plan allocates one fresh
-  full-length buffer per node, the optimized plan serves every op from
-  the liveness-driven :class:`~repro.engine.optimize.BufferArena`.
-  Floor ``>= 2x`` reduction (measured ~10-20x).
+  full-length buffer per node and packs sources through a full
+  ``(batch, N)`` bit transient, the optimized plan serves every op from
+  the liveness-driven :class:`~repro.engine.optimize.BufferArena` and
+  packs sources in chunks. Floor ``>= 2x`` reduction (measured ~2.4x).
 
 Both floors gate in CI (the ``optimizer-smoke`` job); results are
 archived to ``benchmarks/results/optimizer.txt`` and

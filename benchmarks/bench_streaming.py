@@ -12,8 +12,11 @@ Three tracked numbers for the streaming executor
 * **streaming vs materialised peak memory** — the width-matched
   manipulation graph at N = 2^20, measured with ``tracemalloc``: the
   materialised engine holds every node's full-length buffer plus the
-  full comparator sequences; the streaming executor holds O(tile).
-  Floor ``>= 8x`` reduction (measured ~15-30x).
+  full comparator sequences; the streaming auditor holds O(tile).
+  The streaming side is an audit because audits never prune — a
+  ``keep=()`` run would be pruned to nothing by dead-node elimination
+  and measure an empty walk — and the measurement asserts that tiles
+  were walked. Floor ``>= 8x`` reduction (measured ~13x).
 * **long-stream convergence** — the ``long_stream`` experiment at
   exhaustive fidelity (N up to 2^22), archived like every other
   experiment table.
@@ -21,9 +24,10 @@ Three tracked numbers for the streaming executor
 ``python benchmarks/bench_streaming.py --rss-smoke`` is the CI
 constant-memory proof: it caps the process address space via
 ``resource.setrlimit`` at its current peak plus a margin *smaller than
-the materialised working set*, then runs N = 2^22 streaming evaluations
-to completion — and checks (in a subprocess under the same cap) that the
-materialised engine dies of ``MemoryError`` where streaming survives.
+the materialised working set*, then runs N = 2^22 streaming audits to
+completion, asserting from the ``engine.stream.tiles`` counter that every
+tile was walked — and checks (in a subprocess under the same cap) that
+the materialised engine dies of ``MemoryError`` where streaming survives.
 """
 
 import pathlib
@@ -35,9 +39,10 @@ import tracemalloc
 import pytest
 
 import _snapshot
-from repro import engine
+from repro import engine, obs
+from repro.bitstream.streaming import tile_count
 from repro.engine.library import depth_chain_graph, long_stream_graph, mux_chain_graph
-from repro.engine.streaming import run_streaming
+from repro.engine.streaming import audit_streaming, run_streaming
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -92,11 +97,21 @@ def _measure_memory():
     _, materialized_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     engine.clear_sequence_cache()
-    tracemalloc.start()
-    run_streaming(plan, MEMORY_N, tile_words=MEMORY_TILE_WORDS, keep=())
-    _, streaming_peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    with obs.observe() as trace:
+        tracemalloc.start()
+        audit_streaming(plan, MEMORY_N, tile_words=MEMORY_TILE_WORDS)
+        _, streaming_peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    _assert_tiles_walked(trace, MEMORY_N, MEMORY_TILE_WORDS)
     return materialized_peak, streaming_peak
+
+
+def _assert_tiles_walked(trace, length, tile_words):
+    tiles = trace.metrics["counters"].get("engine.stream.tiles", 0)
+    expected = tile_count(length, tile_words)
+    assert tiles == expected, (
+        f"streaming walk visited {tiles} tiles, expected {expected}"
+    )
 
 
 def _run_and_archive():
@@ -236,8 +251,9 @@ def _rss_smoke() -> int:
         engine.compile_graph(depth_chain_graph(4)),
         engine.compile_graph(long_stream_graph(22)),
     ):
-        result = run_streaming(plan, SMOKE_N, tile_words=4096, keep=())
-        assert result.tiles == SMOKE_N // (4096 * 64)
+        with obs.observe() as trace:
+            audit_streaming(plan, SMOKE_N, tile_words=4096)
+        _assert_tiles_walked(trace, SMOKE_N, 4096)
     wall = time.perf_counter() - start
     _snapshot.add_entry(
         "streaming", op="rss smoke (N=2^22 under AS ceiling)",
@@ -248,7 +264,8 @@ def _rss_smoke() -> int:
     print(
         f"rss smoke: 2 graphs x N=2^22 streamed in {wall:.1f}s under a "
         f"{SMOKE_MARGIN_BYTES >> 20} MiB address-space margin "
-        f"(materialised probe correctly died)"
+        f"(VmPeak {_current_vm_peak_bytes() >> 20} MiB of a {limit >> 20} MiB "
+        f"ceiling; materialised probe correctly died)"
     )
     return 0
 

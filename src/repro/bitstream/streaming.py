@@ -80,23 +80,39 @@ __all__ = [
 DEFAULT_TILE_WORDS = 4096
 
 
-def materialized_batch_bytes(nodes: int, batch: int, length: int) -> int:
-    """Packed-buffer bytes a *materialised* batched pass would hold live.
+def materialized_batch_bytes(
+    nodes: int,
+    batch: int,
+    length: int,
+    *,
+    sequences: int = 0,
+    transform_groups: int = 0,
+) -> int:
+    """Bytes one *whole-stream* batched pass allocates.
 
-    The materialised executor keeps one ``(batch, words)`` uint64 matrix
-    per scheduled node (liveness frees some early, but the bound is what
-    a budget decision needs): ``nodes * batch * words_per_stream(length)
-    * 8`` bytes. The serving layer compares this estimate against its
-    memory budget to decide whether a coalesced group is safe to run
-    through :func:`repro.engine.executor.run_batch` or must shed load
-    into the constant-memory tile scheduler
-    (:func:`repro.engine.streaming.run_streaming`), whose working set is
+    A whole-stream pass (:func:`repro.engine.executor.run_batch` /
+    ``audit_batch``) holds, at worst, one ``(batch, words)`` uint64
+    matrix per scheduled node, one full-length int64 comparator sequence
+    per distinct source generator, and each transform group's unpacked
+    uint8 operands and outputs (two ``(batch, N)`` matrices in, two
+    out) — packed words alone are ~40x short at N = 2^20. The serving
+    layer compares this estimate against its memory budget to decide
+    whether a coalesced group is safe to run whole-stream or must shed
+    load into constant-memory tiles, whose working set is
     O(batch × tile) regardless of N.
 
     >>> materialized_batch_bytes(nodes=10, batch=32, length=2**20)
     41943040
+    >>> materialized_batch_bytes(10, 32, 2**20, sequences=2, transform_groups=1)
+    192937984
     """
-    return int(nodes) * int(batch) * words_per_stream(length) * 8
+    length = int(length)
+    batch = int(batch)
+    return (
+        int(nodes) * batch * words_per_stream(length) * 8
+        + int(sequences) * length * 8
+        + int(transform_groups) * 4 * batch * length
+    )
 
 
 def tile_count(length: int, tile_words: int = DEFAULT_TILE_WORDS) -> int:
@@ -191,14 +207,16 @@ class ValueAccumulator:
     floats a materialised run would.
     """
 
+    __slots__ = ("_length", "_ones")
+
     def __init__(self, length: int) -> None:
         self._length = check_stream_length(length)
         self._ones: Optional[np.ndarray] = None
 
     def update(self, tile_words_matrix: np.ndarray) -> None:
-        counts = popcount_words(tile_words_matrix)
+        counts = popcount_words(tile_words_matrix)  # a fresh array
         if self._ones is None:
-            self._ones = counts.copy()
+            self._ones = counts
         else:
             self._ones += counts
 
@@ -236,6 +254,8 @@ class OverlapAccumulator:
     SCC floats match the whole-stream kernel bit for bit.
     """
 
+    __slots__ = ("_length", "_a", "_ones_x", "_ones_y")
+
     def __init__(self, length: int) -> None:
         self._length = check_stream_length(length)
         self._a: Optional[np.ndarray] = None
@@ -246,8 +266,8 @@ class OverlapAccumulator:
         a = popcount_words(x_tile & y_tile)
         ones_x = popcount_words(x_tile)
         ones_y = popcount_words(y_tile)
-        if self._a is None:
-            self._a, self._ones_x, self._ones_y = a.copy(), ones_x.copy(), ones_y.copy()
+        if self._a is None:  # popcounts are fresh arrays: no copies
+            self._a, self._ones_x, self._ones_y = a, ones_x, ones_y
         else:
             self._a += a
             self._ones_x = self._ones_x + ones_x

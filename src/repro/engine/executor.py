@@ -12,6 +12,12 @@ so no per-bit python loop runs anywhere in the schedule; ``fsm``-domain
 steps fall back to the per-cycle reference loop. A 1k-point design sweep
 is therefore one engine call instead of 1k graph interpretations.
 
+This module holds the batch entry points, their result types, override
+resolution, and the memoised comparator sequences. It has no walk of its
+own: the schedule runs through :func:`repro.engine.streaming._walk_tiles`
+as **one tile spanning the whole stream** (see
+:func:`repro.engine.streaming._execute`).
+
 Bit-exactness contract: for any graph the engine accepts,
 
 * ``run(plan, n)`` returns streams **bit-identical** to
@@ -30,15 +36,15 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .._validation import check_stream_length
-from ..arith._coerce import broadcast_pair
+from .._validation import check_jobs, check_stream_length, check_tile_words
 from ..bitstream.encoding import Encoding, ones_to_value
-from ..bitstream.metrics import popcount_words, scc_batch_packed
+from ..bitstream.metrics import popcount_words
 from ..bitstream.packed import (
     PackedBitstreamBatch,
     pack_bits_unchecked,
@@ -47,11 +53,10 @@ from ..bitstream.packed import (
 )
 from ..exceptions import GraphCompilationError
 from ..graph.graph import AuditEntry, GraphAudit
-from ..graph.nodes import OP_LIBRARY, mux_select_bits
+from ..graph.nodes import OP_LIBRARY
 from ..obs import counter_add
-from ..obs import span as obs_span
 from ..rng import make_rng
-from .plan import ExecutionPlan, PlanStep
+from .plan import ExecutionPlan
 
 __all__ = [
     "EngineRun",
@@ -66,37 +71,38 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------- #
-# Shared-sequence memos (deterministic, so caching is free speedup for
+# Shared-sequence memo (deterministic, so caching is free speedup for
 # the audit -> splice -> re-audit loop, which replays the same RNGs).
 #
-# The memos are module-level and therefore shared by every thread that
+# The memo is module-level and therefore shared by every thread that
 # evaluates plans in one process; all mutation happens under _SEQ_LOCK so
 # a concurrent eviction can never leave a half-written dict behind. The
 # cached arrays themselves are safe to share (treated as read-only by
 # every consumer). Forked worker processes inherit a snapshot of the
-# parent's caches *and locks*; the ``os.register_at_fork`` hook below
-# rebinds a fresh lock and drops the memos in every child, so a fork
+# parent's cache *and lock*; the ``os.register_at_fork`` hook below
+# rebinds a fresh lock and drops the memo in every child, so a fork
 # taken while a parent thread held the lock can never deadlock a worker.
+# It is bounded in bytes (an int64 sequence is 32 MiB at N = 2^22):
+# least-recently-used entries go first, a sequence larger than the cap is
+# never stored, and evictions are counted.
 # ---------------------------------------------------------------------- #
 
-_SEQ_CACHE_MAX = 128
+_SEQ_CACHE_BYTES = 64 << 20
 _SEQ_LOCK = threading.Lock()
-_SEQ_CACHE: Dict[tuple, np.ndarray] = {}
-# The MUX scaled adder's 0.5 select stream, packed, keyed by length —
-# the bits come from the interpreter's own mux_select_bits helper.
-_SELECT_CACHE: Dict[int, np.ndarray] = {}
+_SEQ_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+_seq_cache_nbytes = 0
 
 
 def _reinit_after_fork() -> None:
     # A forked child inherits _SEQ_LOCK in whatever state some parent
     # thread left it — possibly held by a thread that does not exist in
     # the child, where acquiring it would deadlock forever. Rebind a
-    # fresh lock and drop the memos (pure caches; losing them costs one
+    # fresh lock and drop the memo (a pure cache; losing it costs one
     # regeneration).
-    global _SEQ_LOCK
+    global _SEQ_LOCK, _seq_cache_nbytes
     _SEQ_LOCK = threading.Lock()
     _SEQ_CACHE.clear()
-    _SELECT_CACHE.clear()
+    _seq_cache_nbytes = 0
 
 
 if hasattr(os, "register_at_fork"):  # not on Windows (spawn starts clean)
@@ -104,44 +110,42 @@ if hasattr(os, "register_at_fork"):  # not on Windows (spawn starts clean)
 
 
 def _rng_sequence(spec: str, kwargs: Tuple[Tuple[str, object], ...], length: int) -> np.ndarray:
+    global _seq_cache_nbytes
     key = (spec, kwargs, length)
     with _SEQ_LOCK:
         seq = _SEQ_CACHE.get(key)
-    if seq is None:
-        counter_add("engine.seq_memo.miss")
-        # Generation runs outside the lock (it can be slow); a racing
-        # thread may generate the same sequence twice, but both results
-        # are identical, so last-write-wins is harmless.
-        seq = make_rng(spec, **dict(kwargs)).sequence(length)
-        with _SEQ_LOCK:
-            if len(_SEQ_CACHE) >= _SEQ_CACHE_MAX:
-                _SEQ_CACHE.clear()
-            _SEQ_CACHE[key] = seq
-    else:
+        if seq is not None:
+            _SEQ_CACHE.move_to_end(key)
+    if seq is not None:
         counter_add("engine.seq_memo.hit")
+        return seq
+    counter_add("engine.seq_memo.miss")
+    # Generation runs outside the lock (it can be slow); a racing thread
+    # may generate the same sequence twice, but both results are
+    # identical, so the first stored copy wins.
+    seq = make_rng(spec, **dict(kwargs)).sequence(length)
+    evicted = 0
+    with _SEQ_LOCK:
+        if key not in _SEQ_CACHE and seq.nbytes <= _SEQ_CACHE_BYTES:
+            while _seq_cache_nbytes + seq.nbytes > _SEQ_CACHE_BYTES:
+                _seq_cache_nbytes -= _SEQ_CACHE.popitem(last=False)[1].nbytes
+                evicted += 1
+            _SEQ_CACHE[key] = seq
+            _seq_cache_nbytes += seq.nbytes
+    if evicted:
+        counter_add("engine.seq_memo.evict", evicted)
     return seq
 
 
-def _select_words(length: int) -> np.ndarray:
-    with _SEQ_LOCK:
-        words = _SELECT_CACHE.get(length)
-    if words is None:
-        words = pack_bits_unchecked(mux_select_bits(length).reshape(1, -1))
-        with _SEQ_LOCK:
-            if len(_SELECT_CACHE) >= _SEQ_CACHE_MAX:
-                _SELECT_CACHE.clear()
-            _SELECT_CACHE[length] = words
-    return words
-
-
 def clear_sequence_cache() -> None:
-    """Drop the memoised RNG/select sequences.
+    """Drop the memoised RNG sequences and select tiles.
 
     Exposed as :func:`repro.engine.clear_sequence_cache` (test isolation
     hook; forked workers are reset automatically by the at-fork hook)."""
+    global _seq_cache_nbytes
     with _SEQ_LOCK:
         _SEQ_CACHE.clear()
-        _SELECT_CACHE.clear()
+        _seq_cache_nbytes = 0
     from .streaming import clear_select_tile_cache
     clear_select_tile_cache()
 
@@ -168,31 +172,6 @@ _OP_KERNELS = {
     "max": lambda a, b, sel: a | b,
     "min": lambda a, b, sel: a & b,
     "scaled_add": lambda a, b, sel: mux_words(sel, a, b),
-}
-
-
-def _mux_words_into(a: np.ndarray, b: np.ndarray, sel: np.ndarray, out: np.ndarray) -> None:
-    """In-place 2:1 mux via the branchless identity
-    ``a ^ ((a ^ b) & sel)`` — bit-for-bit equal to
-    ``(sel & b) | (~sel & a)`` (sel=1 picks ``b``, sel=0 picks ``a``,
-    tail bits take ``a``'s zero tail) with zero temporaries."""
-    np.bitwise_xor(a, b, out=out)
-    np.bitwise_and(out, sel, out=out)
-    np.bitwise_xor(out, a, out=out)
-
-
-# In-place twins of _OP_KERNELS: same boolean functions, written through
-# ``out=`` into an arena buffer instead of allocating (the mux identity
-# above replaces the three temporaries of the expression form). ``out``
-# never aliases an operand — operands are live (their release point is
-# after this step), so the arena cannot have handed their buffer out.
-_INPLACE_KERNELS = {
-    "mul": lambda a, b, sel, out: np.bitwise_and(a, b, out=out),
-    "sat_add": lambda a, b, sel, out: np.bitwise_or(a, b, out=out),
-    "sub": lambda a, b, sel, out: np.bitwise_xor(a, b, out=out),
-    "max": lambda a, b, sel, out: np.bitwise_or(a, b, out=out),
-    "min": lambda a, b, sel, out: np.bitwise_and(a, b, out=out),
-    "scaled_add": _mux_words_into,
 }
 
 # Source comparator packing works through (rows, chunk-bits) boolean
@@ -300,157 +279,43 @@ def _resolve_levels(
 
 
 # ---------------------------------------------------------------------- #
-# Core evaluation walk
+# Audit rendering (shared with the streaming auditor)
 # ---------------------------------------------------------------------- #
 
-def _execute(
+def _graph_audit(
     plan: ExecutionPlan,
     length: int,
-    *,
-    levels: Dict[str, np.ndarray],
-    keep: Optional[Iterable[str]],
-    want_values: bool,
-    want_op_scc: bool,
-) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-    """Walk the schedule; returns ``(kept_words, values, op_scc)``,
-    every dict keyed by *source-graph* (semantic) node names.
-
-    ``keep=None`` keeps every node's words; otherwise intermediate
-    buffers are freed as soon as their last consumer has run.
-
-    Optimizer integration happens here, once for every entry point:
-    :meth:`~repro.engine.plan.ExecutionPlan.for_execution` picks the
-    optimized schedule or its raw twin (overrides can split a source
-    merge), dead-node elimination prunes to the keep cone when the
-    caller is not auditing, the walk recycles buffers through a
-    :class:`~repro.engine.optimize.BufferArena`, and merged-away names
-    are expanded back so callers see every name they asked for.
-    """
-    keep_set = None if keep is None else set(keep)
-    semantic = plan.semantic_order
-    if keep_set is not None:
-        unknown = keep_set - set(semantic)
-        if unknown:
-            raise GraphCompilationError(f"keep names not in graph: {sorted(unknown)}")
-    exec_plan = plan.for_execution(levels)
-    use_arena = exec_plan.optimize_level >= 1
-    sched_keep = (
-        None if keep_set is None
-        else {exec_plan.resolve(n) for n in keep_set}
-    )
-    walk_plan = exec_plan
-    if (
-        sched_keep is not None
-        and not want_values
-        and not want_op_scc
-        and exec_plan.optimize_level >= 1
-    ):
-        # Audits never prune (their entire point is to measure every
-        # operator); a words-only call walks just the ancestor cone of
-        # what the caller will actually read.
-        from .optimize import dce_plan
-
-        walk_plan = dce_plan(exec_plan, frozenset(sched_keep))
-    with obs_span("engine.execute", steps=len(walk_plan.steps), length=length):
-        kept, node_values, op_scc = _execute_steps(
-            walk_plan, length, levels=levels, keep_set=sched_keep,
-            want_values=want_values, want_op_scc=want_op_scc,
-            use_arena=use_arena,
+    ones: Dict[str, np.ndarray],
+    op_scc: Dict[str, np.ndarray],
+    tolerance: float,
+) -> GraphAudit:
+    """A default-configuration :class:`GraphAudit` from a walk's
+    accumulated 1-counts and per-op SCC (row 0) — the one rendering
+    behind :func:`audit` and
+    :func:`~repro.engine.streaming.audit_streaming`."""
+    expected = plan.expected_values()
+    values = {
+        name: float(ones[name][0]) / float(length) for name in plan.semantic_order
+    }
+    entries: List[AuditEntry] = []
+    for step in plan.semantic_steps:
+        if step.kind != "op":
+            continue
+        required = OP_LIBRARY[step.op]["required"]
+        measured = float(op_scc[step.name][0])
+        violated = required is not None and abs(measured - required) > tolerance
+        entries.append(
+            AuditEntry(
+                node=step.name,
+                op=step.op,
+                required_scc=required,
+                measured_scc=measured,
+                expected_value=expected[step.name],
+                measured_value=values[step.name],
+                violated=violated,
+            )
         )
-    if exec_plan.alias_map:
-        # Expand representatives back to every requested source-graph
-        # name (shared arrays — a merged duplicate *is* its
-        # representative's stream, that is the whole point).
-        resolve = exec_plan.resolve
-        names = semantic if keep_set is None else keep_set
-        kept = {n: kept[resolve(n)] for n in names if resolve(n) in kept}
-        if want_values:
-            node_values = {n: node_values[resolve(n)] for n in semantic}
-        if want_op_scc:
-            op_scc = {
-                s.name: op_scc[resolve(s.name)]
-                for s in plan.semantic_steps if s.kind == "op"
-            }
-    return kept, node_values, op_scc
-
-
-def _execute_steps(
-    plan: ExecutionPlan,
-    length: int,
-    *,
-    levels: Dict[str, np.ndarray],
-    keep_set: Optional[set],
-    want_values: bool,
-    want_op_scc: bool,
-    use_arena: bool = False,
-) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-    words: Dict[str, np.ndarray] = {}
-    kept: Dict[str, np.ndarray] = {}
-    node_values: Dict[str, np.ndarray] = {}
-    op_scc: Dict[str, np.ndarray] = {}
-    group_out: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    select = None
-    arena = None
-    n_words = words_per_stream(length)
-    if use_arena:
-        from .optimize import BufferArena
-
-        arena = BufferArena()
-
-    for step in plan.steps:
-        if step.kind == "source":
-            seq = _rng_sequence(step.rng_spec, step.rng_kwargs, length)
-            lv = levels[step.name]
-            if arena is not None:
-                out = arena.take(lv.size, n_words)
-                _pack_source_chunked(out, lv, seq, length)
-            else:
-                out = pack_bits_unchecked(lv[:, None] > seq[None, :])
-        elif step.kind == "op":
-            a, b = (words[d] for d in step.inputs)
-            if step.op == "scaled_add" and select is None:
-                select = _select_words(length)
-            if want_op_scc:
-                op_scc[step.name] = scc_batch_packed(a, b, length)
-            if arena is not None:
-                out = arena.take(max(a.shape[0], b.shape[0]), n_words)
-                _INPLACE_KERNELS[step.op](a, b, select, out)
-            else:
-                out = _OP_KERNELS[step.op](a, b, select)
-        else:  # transform (kernel or fsm domain; both unpack -> step -> repack,
-               # kernel-domain circuits dispatch to repro.kernels inside
-               # _process_bits and keep the whole batch time-parallel)
-            if step.group not in group_out:
-                xw, yw = (words[d] for d in step.inputs)
-                xb = unpack_bits(xw, length)
-                yb = unpack_bits(yw, length)
-                xb, yb = broadcast_pair(xb, yb)
-                ox, oy = step.transform._process_bits(xb, yb)
-                group_out[step.group] = (pack_bits_unchecked(ox), pack_bits_unchecked(oy))
-            out = group_out[step.group][step.port]
-
-        words[step.name] = out
-        if want_values:
-            node_values[step.name] = popcount_words(out) / float(length)
-        if keep_set is None or step.name in keep_set:
-            kept[step.name] = out
-        for dead in step.free_after:
-            if keep_set is not None and dead not in keep_set:
-                buf = words.pop(dead, None)
-                # Dead buffers feed the arena's free list; transform
-                # outputs stay out of it — their group_out entry lives
-                # until the walk ends, and a partner port scheduled
-                # after this free point must still read its own words.
-                if (
-                    arena is not None
-                    and buf is not None
-                    and buf.shape[1] == n_words
-                    and plan.step(dead).kind != "transform"
-                ):
-                    arena.release(buf)
-    if arena is not None:
-        arena.flush_counters()
-    return kept, node_values, op_scc
+    return GraphAudit(entries=entries, values=values, expected=expected)
 
 
 # ---------------------------------------------------------------------- #
@@ -518,12 +383,11 @@ def run_batch(
             Intermediate buffers are freed at their last use.
         encoding: value interpretation of the returned streams.
     """
+    from .streaming import _execute
+
     check_stream_length(length)
     resolved, _, batch = _resolve_levels(plan, length, values, levels)
-    kept, _, _ = _execute(
-        plan, length, levels=resolved, keep=keep,
-        want_values=False, want_op_scc=False,
-    )
+    kept, _, _, _ = _execute(plan, length, levels=resolved, keep=keep)
     return EngineRun(
         length=length,
         batch_size=batch,
@@ -543,36 +407,18 @@ def run(plan: ExecutionPlan, length: int = 256) -> Dict[str, np.ndarray]:
 def audit(plan: ExecutionPlan, length: int = 256, *, tolerance: float = 0.35) -> GraphAudit:
     """Engine-backed audit, float-identical to the interpreter's.
 
-    Per-op SCC goes through :func:`scc_batch_packed` (same integer
-    overlap counts as the unpacked kernel), values through popcounts.
+    Per-op SCC comes from the packed overlap counts (the same integers
+    as the unpacked kernel), values from popcounts.
     """
+    from .streaming import _execute
+
     check_stream_length(length)
     resolved, _, _ = _resolve_levels(plan, length, None, None)
-    _, node_values, op_scc = _execute(
+    _, ones, op_scc, _ = _execute(
         plan, length, levels=resolved, keep=(),
-        want_values=True, want_op_scc=True,
+        want_values_all=True, want_op_scc=True,
     )
-    expected = plan.expected_values()
-    values = {name: float(v[0]) for name, v in node_values.items()}
-    entries: List[AuditEntry] = []
-    for step in plan.semantic_steps:
-        if step.kind != "op":
-            continue
-        required = OP_LIBRARY[step.op]["required"]
-        measured = float(op_scc[step.name][0])
-        violated = required is not None and abs(measured - required) > tolerance
-        entries.append(
-            AuditEntry(
-                node=step.name,
-                op=step.op,
-                required_scc=required,
-                measured_scc=measured,
-                expected_value=expected[step.name],
-                measured_value=values[step.name],
-                violated=violated,
-            )
-        )
-    return GraphAudit(entries=entries, values=values, expected=expected)
+    return _graph_audit(plan, length, ones, op_scc, tolerance)
 
 
 @dataclass(frozen=True)
@@ -637,6 +483,8 @@ def audit_batch(
     values: Optional[Dict[str, Union[float, np.ndarray]]] = None,
     levels: Optional[Dict[str, Union[int, np.ndarray]]] = None,
     tolerance: float = 0.35,
+    tile_words: Optional[int] = None,
+    jobs: int = 1,
 ) -> BatchAudit:
     """Audit a whole configuration batch in one pass.
 
@@ -644,13 +492,28 @@ def audit_batch(
     configuration ``i``; the SCC measurements run through the packed
     overlap kernels once per operator instead of once per (operator,
     configuration) pair.
+
+    ``tile_words`` and ``jobs`` take the meaning they have in
+    :func:`~repro.engine.streaming.audit_streaming`. The default
+    (``None``) walks one tile spanning the whole stream; a tile size
+    walks constant-memory tiles instead — float-identical, because the
+    accumulated integer counts are the whole-stream counts — and
+    ``jobs > 1`` spreads those tiles over the parallel scheduler. Plans
+    with ``fsm``-domain transforms have no streaming carriers and run
+    only as a whole-stream tile.
     """
+    from .streaming import _execute
+
     check_stream_length(length)
+    if tile_words is not None:
+        check_tile_words(tile_words)
+    check_jobs(jobs)
     resolved, nominal, batch = _resolve_levels(plan, length, values, levels)
-    _, node_values, op_scc = _execute(
+    _, ones, op_scc, _ = _execute(
         plan, length, levels=resolved, keep=(),
-        want_values=True, want_op_scc=True,
+        want_values_all=True, want_op_scc=True, tile_words=tile_words, jobs=jobs,
     )
+    node_values = {name: ones[name] / float(length) for name in plan.semantic_order}
     expected = _expected_batch(plan, nominal)
     # .copy(): np.broadcast_to returns read-only views, and callers get
     # writable arrays from every other analysis API in the repo.

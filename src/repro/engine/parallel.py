@@ -73,12 +73,13 @@ from .plan import ExecutionPlan, FusedChain
 from .pool import SharedSink, pool_call
 from .streaming import (
     _CompiledChain,
+    _execute,
     _expand_aliases,
     _keep_and_exposed,
     _make_sources,
     _propagate_rows,
+    _prune,
     _select_tile,
-    _stream_execute,
     _walk_tiles,
 )
 
@@ -432,7 +433,7 @@ def _parallel_stream_execute(
     jobs: int,
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray], Dict[str, np.ndarray], int]:
     """Parallel counterpart of
-    :func:`repro.engine.streaming._stream_execute` — same return tuple,
+    :func:`repro.engine.streaming._execute`'s tiled walk — same return tuple,
     bit-/float-identical results, spans evaluated across a worker pool.
     Falls back to the sequential walk when there is nothing to
     parallelise (a single span) or a carrier does not compose."""
@@ -447,7 +448,7 @@ def _parallel_stream_execute(
     spans = spans_for(length, tile_words, jobs)
 
     def _sequential():
-        return _stream_execute(
+        return _execute(
             src_plan, length, levels=levels, keep=keep, tile_words=tile_words,
             fuse=fuse, want_values_all=want_values_all,
             want_op_scc=want_op_scc,
@@ -467,16 +468,7 @@ def _parallel_stream_execute(
     keep_sem, keep_set, value_sem, value_nodes, exposed = _keep_and_exposed(
         src_plan, exec_plan, keep, want_values_all, want_op_scc
     )
-    plan = exec_plan
-    if (
-        keep is not None
-        and not want_values_all
-        and not want_op_scc
-        and exec_plan.optimize_level >= 1
-    ):
-        from .optimize import dce_plan
-
-        plan = dce_plan(exec_plan, frozenset(keep_set))
+    plan = _prune(exec_plan, keep, keep_set, want_values_all, want_op_scc)
 
     schedule = plan.fused_schedule(exposed if fuse else None)
     fused_chains = sum(1 for item in schedule if isinstance(item, FusedChain))

@@ -652,9 +652,11 @@ def compile_graph(
         plan = raw
     if use_cache:
         with _PLAN_LOCK:
-            _PLAN_CACHE[(signature, 0)] = raw
+            # Threads that missed together each built a plan; the first
+            # stored wins, so every caller shares one plan object.
+            _PLAN_CACHE.setdefault((signature, 0), raw)
             _PLAN_CACHE.move_to_end((signature, 0))
-            _PLAN_CACHE[(signature, level)] = plan
+            plan = _PLAN_CACHE.setdefault((signature, level), plan)
             _PLAN_CACHE.move_to_end((signature, level))
             while len(_PLAN_CACHE) > PLAN_CACHE_MAXSIZE:
                 _PLAN_CACHE.popitem(last=False)

@@ -1,10 +1,15 @@
-"""Constant-memory tile streaming over compiled execution plans.
+"""The schedule walker: a compiled plan evaluated tile by tile.
 
-:mod:`repro.engine.executor` materialises every node's full-length packed
-buffer — O(nodes × N × batch) memory, which walls off the long-stream
-regime (N ≥ 2^20) where the paper's SCC and value estimates converge.
-This module pumps fixed-size **word tiles** through the whole plan
-instead:
+Every evaluation of an :class:`~repro.engine.plan.ExecutionPlan` goes
+through one loop, :func:`_walk_tiles`; entry points differ only in the
+tiles they hand it. The batch entry points
+(:func:`repro.engine.executor.run_batch` / ``audit`` / ``audit_batch``)
+walk **one tile spanning the whole stream** — today's per-call work,
+O(nodes × N × batch) memory at worst (see :func:`_execute`).
+:func:`run_streaming`, :func:`audit_streaming` and
+``audit_batch(tile_words=...)`` instead pump fixed-size **word tiles**,
+in constant memory — which is what opens the long-stream regime
+(N ≥ 2^20) where the paper's SCC and value estimates converge:
 
 1. the stream is split into tiles of ``tile_words`` uint64 words
    (:func:`repro.bitstream.streaming.tile_bounds`);
@@ -38,14 +43,18 @@ batches ≥ 1, across tile sizes):
   :func:`repro.engine.executor.audit` (the accumulated integer counts
   equal the whole-stream counts, so the derived floats are equal too).
 
-Memory model: O(batch × tile_words) per live node within a tile, plus
-O(batch) integers per accumulated node, plus O(batch × N/64) *only* for
-explicitly kept nodes. ``keep=()`` is the constant-memory configuration
-the ``long_stream`` experiment and the N=2^22 CI smoke run in.
+Memory model of tiled walks: O(batch × tile_words) per live node within
+a tile, plus O(batch) integers per accumulated node, plus O(batch × N/64)
+*only* for explicitly kept nodes. Audits are the constant-memory
+configuration the N=2^22 CI smoke runs (they never prune; an optimized
+``keep=()`` run is pruned to an empty walk). The whole-stream tile is
+chosen by the entry point, never inferred from ``tile_words * 64 >= N``,
+and is traced as ``engine.execute``, not as a stream walk.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from collections import OrderedDict
@@ -68,13 +77,20 @@ from ..bitstream.streaming import (
     tile_count,
 )
 from ..exceptions import GraphCompilationError
-from ..graph.graph import AuditEntry, GraphAudit
-from ..graph.nodes import OP_LIBRARY, mux_select_window
+from ..graph.graph import GraphAudit
+from ..graph.nodes import mux_select_window
 from ..kernels.streaming import PairCarrier, make_pair_carrier
 from ..obs import counter_add
 from ..obs import span as obs_span
 from ..rng import make_rng
-from .executor import _OP_KERNELS, _resolve_levels
+from .executor import (
+    _OP_KERNELS,
+    _graph_audit,
+    _pack_source_chunked,
+    _resolve_levels,
+    _rng_sequence,
+)
+from .optimize import BufferArena, dce_plan
 from .plan import ExecutionPlan, FusedChain
 
 __all__ = ["StreamingRun", "run_streaming", "audit_streaming"]
@@ -89,7 +105,8 @@ _WORD_DTYPE = np.dtype("<u8")
 # early tiles). The halton7 radical inverse is the single most expensive
 # per-tile computation, so this memo matters; the cap bounds it to a few
 # MB at the default tile size (eviction degrades to recomputation, never
-# to wrong bits). Guarded by a lock like the executor's sequence memos;
+# to wrong bits). A whole-stream tile's select is the entry (0, N) — at
+# most N/8 bytes. Guarded by a lock like the executor's sequence memo;
 # cleared by repro.engine.clear_sequence_cache.
 # ---------------------------------------------------------------------- #
 
@@ -133,12 +150,18 @@ def clear_select_tile_cache() -> None:
 
 
 # ---------------------------------------------------------------------- #
-# In-place word kernels for fused super-steps
+# In-place word kernels: fused super-steps of tiled walks, and every op of
+# an optimized whole-stream walk. Same boolean functions as the
+# executor's _OP_KERNELS, written through ``out=`` into a recycled
+# buffer. ``out`` never aliases an operand — operands are live (their
+# release point is after this step), so the arena cannot have handed
+# their buffer out.
 # ---------------------------------------------------------------------- #
 
 def _mux_into(a, b, select, out):
     # The mux identity ``((x ^ y) & s) ^ x == (s & y) | (~s & x)`` runs
-    # the scaled adder in-place with no scratch operand.
+    # the scaled adder in-place with no scratch operand (tail bits take
+    # ``a``'s zero tail, as in the expression form).
     np.bitwise_xor(a, b, out=out)
     np.bitwise_and(out, select, out=out)
     np.bitwise_xor(out, a, out=out)
@@ -300,17 +323,14 @@ def _expand_aliases(
     representative's arrays, which is the whole point of the merge."""
     if not exec_plan.alias_map:
         return kept, ones, op_scc
-    resolve = exec_plan.resolve
-    kept = {
-        n: kept[resolve(n)]
-        for n in plan.semantic_order
-        if n in keep_sem and resolve(n) in kept
-    }
-    ones = {n: ones[resolve(n)] for n in value_sem if resolve(n) in ones}
+    order = plan.semantic_order
+    rep = {n: exec_plan.resolve(n) for n in order}
+    kept = {n: kept[rep[n]] for n in order if n in keep_sem and rep[n] in kept}
+    ones = {n: ones[rep[n]] for n in order if n in value_sem and rep[n] in ones}
     op_scc = {
-        s.name: op_scc[resolve(s.name)]
+        s.name: op_scc[rep[s.name]]
         for s in plan.semantic_steps
-        if s.kind == "op" and resolve(s.name) in op_scc
+        if s.kind == "op" and rep[s.name] in op_scc
     }
     return kept, ones, op_scc
 
@@ -350,6 +370,32 @@ def _make_carriers(
     return carriers
 
 
+class _SequenceSource:
+    """A whole-stream tile's source: packs the memoised full-length
+    sequence (shared ``engine.seq_memo.*`` keys and counters) — chunked
+    into an arena buffer on an optimized plan, one-shot otherwise."""
+
+    def __init__(self, levels: np.ndarray, step, arena) -> None:
+        self._levels, self._step, self._arena = levels, step, arena
+
+    def tile(self, start: int, stop: int) -> np.ndarray:
+        seq = _rng_sequence(self._step.rng_spec, self._step.rng_kwargs, stop)
+        lv = self._levels
+        if self._arena is None:
+            return pack_bits_unchecked(lv[:, None] > seq[None, :])
+        out = self._arena.take(lv.size, words_per_stream(stop))
+        _pack_source_chunked(out, lv, seq, stop)
+        return out
+
+
+class _OneShotTransform:
+    """A whole-stream tile's transform group: the circuit's one-shot
+    ``_process_bits`` (so carrier-less ``fsm``-domain circuits run too)."""
+
+    def __init__(self, transform) -> None:
+        self.step = transform._process_bits
+
+
 def _walk_tiles(
     schedule: List,
     sources: Dict[str, PackedTileSource],
@@ -360,30 +406,42 @@ def _walk_tiles(
     vacc: Dict[str, ValueAccumulator],
     sccacc: Dict[str, OverlapAccumulator],
     writers: Dict[str, TileAssembler],
-) -> None:
+    arena: Optional[BufferArena] = None,
+    retain: Optional[set] = None,
+) -> Dict[str, np.ndarray]:
     """Pump the given tiles through a compiled schedule — the one inner
-    loop shared by the sequential executor and each parallel span worker
-    (:mod:`repro.engine.parallel`). Tile ``bounds`` carry *absolute*
-    stream offsets, so sources window their RNGs and flush-tail carriers
-    count remaining cycles identically in either caller."""
-    from .optimize import BufferArena
+    loop shared by every entry point: tiled walks (the sequential walk
+    and each parallel span worker, :mod:`repro.engine.parallel`) and the
+    batch entry points' whole-stream tile. Tile ``bounds`` carry
+    *absolute* stream offsets, so sources window their RNGs and
+    flush-tail carriers count remaining cycles identically in every
+    caller.
 
-    # One arena for the whole walk: every fused chain's interior scratch
-    # comes from (and returns to) this pool, so chains recycle each
-    # other's buffers tile after tile.
-    arena = BufferArena()
+    ``retain`` marks a whole-stream walk: after each step, its
+    ``free_after`` buffers not in ``retain`` leave the environment; with
+    an ``arena``, they go back to it and ops write in place. Such a walk
+    opens no ``engine.stream.walk`` span and counts no tiles. Returns the
+    last tile's environment."""
+    whole = retain is not None
+    inplace = whole and arena is not None
+    if arena is None:
+        # One arena for the whole walk: every fused chain's interior
+        # scratch comes from (and returns to) this pool, so chains
+        # recycle each other's buffers tile after tile.
+        arena = BufferArena()
+    env: Dict[str, np.ndarray] = {}
     # Tile/word totals accumulate in local ints and post once after the
     # walk — no per-tile instrumentation cost.
     tiles_done = 0
     words_done = 0
-    with obs_span("engine.stream.walk") as walk:
+    with contextlib.nullcontext() if whole else obs_span("engine.stream.walk") as walk:
         for start, stop in bounds:
             tile_len = stop - start
             tile_word_count = (tile_len + 63) // 64
             tiles_done += 1
             words_done += tile_word_count
             select = _select_tile(start, stop) if needs_select else None
-            env: Dict[str, np.ndarray] = {}
+            env = {}
             group_out: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
             for item in schedule:
@@ -397,7 +455,12 @@ def _walk_tiles(
                     a, b = (env[d] for d in item.inputs)
                     if sccacc and item.name in sccacc:
                         sccacc[item.name].update(a, b)
-                    env[item.name] = _OP_KERNELS[item.op](a, b, select)
+                    if inplace:
+                        out = arena.take(max(a.shape[0], b.shape[0]), tile_word_count)
+                        _INPLACE_KERNELS[item.op](a, b, select, out)
+                        env[item.name] = out
+                    else:
+                        env[item.name] = _OP_KERNELS[item.op](a, b, select)
                     name = item.name
                 else:  # transform
                     if item.group not in group_out:
@@ -414,85 +477,135 @@ def _walk_tiles(
                     vacc[name].update(env[name])
                 if name in writers:
                     writers[name].write(start, env[name])
-        walk.annotate(tiles=tiles_done, words=words_done)
+                if whole:
+                    for dead in item.free_after:
+                        if dead not in retain:
+                            buf = env.pop(dead)
+                            if inplace:
+                                arena.release(buf)
+        if not whole:
+            walk.annotate(tiles=tiles_done, words=words_done)
+            counter_add("engine.stream.tiles", tiles_done)
+            counter_add("engine.stream.words", words_done)
     arena.flush_counters()
-    counter_add("engine.stream.tiles", tiles_done)
-    counter_add("engine.stream.words", words_done)
+    return env
 
 
-def _stream_execute(
+def _prune(
+    exec_plan: ExecutionPlan,
+    keep: Optional[Iterable[str]],
+    keep_set: set,
+    want_values_all: bool,
+    want_op_scc: bool,
+) -> ExecutionPlan:
+    """The schedule a call walks: audits never prune (their entire point
+    is to measure every operator); a words-only call on an optimized plan
+    walks just the ancestor cone of what the caller will read."""
+    if keep is None or want_values_all or want_op_scc or exec_plan.optimize_level < 1:
+        return exec_plan
+    return dce_plan(exec_plan, frozenset(keep_set))
+
+
+def _execute(
     plan: ExecutionPlan,
     length: int,
     *,
     levels: Dict[str, np.ndarray],
     keep: Optional[Iterable[str]],
-    tile_words: int,
-    fuse: bool,
-    want_values_all: bool,
-    want_op_scc: bool,
+    tile_words: Optional[int] = None,
+    fuse: bool = True,
+    want_values_all: bool = False,
+    want_op_scc: bool = False,
+    jobs: int = 1,
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray], Dict[str, np.ndarray], int]:
-    """Walk every tile through the (possibly fused) schedule.
+    """Every entry point's walk. Returns ``(kept_words, ones, op_scc,
+    fused_chains)``: ``ones`` maps accumulated node names to integer
+    1-counts, ``op_scc`` maps op names to per-row SCC arrays.
 
-    Returns ``(kept_words, ones, op_scc, fused_chains)`` where ``ones``
-    maps accumulated node names to integer 1-counts and ``op_scc`` maps
-    op names to per-row SCC arrays.
+    ``tile_words=None`` is the batch entry points' whole-stream tile:
+    sources pack the memoised full-length sequences, transform groups run
+    one-shot, ops run unfused (in place into an arena on an optimized
+    plan), and each step's ``free_after`` buffers not kept leave the walk
+    (back into the arena). Kept nodes are the walk's own buffers.
+    Otherwise tiles of ``tile_words`` words go through the (possibly
+    fused) schedule, across the parallel span scheduler when ``jobs > 1``
+    (a whole-stream tile is one span).
+
+    Optimizer integration happens here, once for every entry point:
+    :meth:`~repro.engine.plan.ExecutionPlan.for_execution` picks the
+    optimized schedule or its raw twin (overrides can split a source
+    merge), :func:`_prune` applies dead-node elimination, and merged-away
+    names are expanded back so callers see every name they asked for.
     """
-    with obs_span("engine.stream", length=length, tile_words=tile_words):
+    whole = tile_words is None
+    if not whole and jobs > 1:
+        from .parallel import _parallel_stream_execute
+
+        return _parallel_stream_execute(
+            plan, length, levels=levels, keep=keep, tile_words=tile_words,
+            fuse=fuse, want_values_all=want_values_all,
+            want_op_scc=want_op_scc, jobs=jobs,
+        )
+    span = (
+        contextlib.nullcontext() if whole
+        else obs_span("engine.stream", length=length, tile_words=tile_words)
+    )
+    with span:
         exec_plan = plan.for_execution(levels)
         keep_sem, keep_set, value_sem, value_nodes, exposed = _keep_and_exposed(
             plan, exec_plan, keep, want_values_all, want_op_scc
         )
-        rows = _propagate_rows(exec_plan, levels)
+        if whole and not want_values_all:
+            # A batch run's values come from its kept words themselves.
+            value_sem, value_nodes = set(), set()
+        if not whole:
+            rows = _propagate_rows(exec_plan, levels)
+            # Carriers are built for the *unpruned* schedule, before any
+            # dead-node elimination: a transform without a streaming
+            # carrier must be rejected whether or not the caller's keep
+            # set reaches it (same contract as the unoptimized path).
+            carriers = _make_carriers(exec_plan, length, rows)
 
-        # Carriers are built for the *unpruned* schedule, before any
-        # dead-node elimination: a transform without a streaming carrier
-        # must be rejected whether or not the caller's keep set reaches
-        # it (same contract as the unoptimized path).
-        carriers = _make_carriers(exec_plan, length, rows)
-
-        walk_plan = exec_plan
-        if (
-            keep is not None
-            and not want_values_all
-            and not want_op_scc
-            and exec_plan.optimize_level >= 1
-        ):
-            from .optimize import dce_plan
-
-            walk_plan = dce_plan(exec_plan, frozenset(keep_set))
-
-        schedule = walk_plan.fused_schedule(exposed if fuse else None)
-        fused_chains = sum(1 for item in schedule if isinstance(item, FusedChain))
-
-        sources = _make_sources(walk_plan, levels)
-
+        walk_plan = _prune(exec_plan, keep, keep_set, want_values_all, want_op_scc)
+        steps = walk_plan.steps
         vacc = {name: ValueAccumulator(length) for name in value_nodes}
         sccacc: Dict[str, OverlapAccumulator] = {}
         if want_op_scc:
-            sccacc = {
-                s.name: OverlapAccumulator(length)
-                for s in walk_plan.steps if s.kind == "op"
+            sccacc = {s.name: OverlapAccumulator(length) for s in steps if s.kind == "op"}
+        needs_select = any(s.op == "scaled_add" for s in steps if s.kind == "op")
+
+        if whole:
+            arena = BufferArena() if exec_plan.optimize_level >= 1 else None
+            with obs_span("engine.execute", steps=len(steps), length=length):
+                env = _walk_tiles(
+                    list(steps),
+                    {s.name: _SequenceSource(levels[s.name], s, arena)
+                     for s in steps if s.kind == "source"},
+                    {s.group: _OneShotTransform(s.transform)
+                     for s in steps if s.kind == "transform"},
+                    [(0, length)],
+                    needs_select=needs_select, vacc=vacc, sccacc=sccacc,
+                    writers={}, arena=arena, retain=keep_set,
+                )
+            kept = {name: env[name] for name in walk_plan.node_order if name in keep_set}
+            fused_chains = 0
+        else:
+            schedule = walk_plan.fused_schedule(exposed if fuse else None)
+            fused_chains = sum(1 for item in schedule if isinstance(item, FusedChain))
+            assemblers = {name: TileAssembler(rows[name], length) for name in keep_set}
+            _walk_tiles(
+                [_CompiledChain(item, rows) if isinstance(item, FusedChain) else item
+                 for item in schedule],
+                _make_sources(walk_plan, levels), carriers,
+                tile_bounds(length, tile_words),
+                needs_select=needs_select, vacc=vacc, sccacc=sccacc,
+                writers=assemblers,
+            )
+            kept = {
+                name: assemblers[name].words
+                for name in walk_plan.node_order if name in assemblers
             }
-        assemblers = {name: TileAssembler(rows[name], length) for name in keep_set}
-        schedule = [
-            _CompiledChain(item, rows) if isinstance(item, FusedChain) else item
-            for item in schedule
-        ]
 
-        needs_select = any(
-            s.op == "scaled_add" for s in walk_plan.steps if s.kind == "op"
-        )
-
-        _walk_tiles(
-            schedule, sources, carriers, tile_bounds(length, tile_words),
-            needs_select=needs_select, vacc=vacc, sccacc=sccacc,
-            writers=assemblers,
-        )
-
-        kept = {
-            name: assemblers[name].words
-            for name in walk_plan.node_order if name in assemblers
-        }
         ones = {name: acc.ones for name, acc in vacc.items()}
         op_scc = {name: acc.scc() for name, acc in sccacc.items()}
         kept, ones, op_scc = _expand_aliases(
@@ -589,17 +702,10 @@ def run_streaming(
     check_tile_words(tile_words)
     check_jobs(jobs)
     resolved, _, batch = _resolve_levels(plan, length, values, levels)
-    if jobs > 1:
-        from .parallel import _parallel_stream_execute
-        kept, ones, _, fused = _parallel_stream_execute(
-            plan, length, levels=resolved, keep=keep, tile_words=tile_words,
-            fuse=fuse, want_values_all=False, want_op_scc=False, jobs=jobs,
-        )
-    else:
-        kept, ones, _, fused = _stream_execute(
-            plan, length, levels=resolved, keep=keep, tile_words=tile_words,
-            fuse=fuse, want_values_all=False, want_op_scc=False,
-        )
+    kept, ones, _, fused = _execute(
+        plan, length, levels=resolved, keep=keep, tile_words=tile_words,
+        fuse=fuse, jobs=jobs,
+    )
     return StreamingRun(
         length=length,
         batch_size=batch,
@@ -636,37 +742,8 @@ def audit_streaming(
     check_tile_words(tile_words)
     check_jobs(jobs)
     resolved, _, _ = _resolve_levels(plan, length, None, None)
-    if jobs > 1:
-        from .parallel import _parallel_stream_execute
-        _, ones, op_scc, _ = _parallel_stream_execute(
-            plan, length, levels=resolved, keep=(), tile_words=tile_words,
-            fuse=True, want_values_all=True, want_op_scc=True, jobs=jobs,
-        )
-    else:
-        _, ones, op_scc, _ = _stream_execute(
-            plan, length, levels=resolved, keep=(), tile_words=tile_words,
-            fuse=True, want_values_all=True, want_op_scc=True,
-        )
-    expected = plan.expected_values()
-    node_values = {
-        name: float(count[0]) / float(length) for name, count in ones.items()
-    }
-    entries: List[AuditEntry] = []
-    for step in plan.semantic_steps:
-        if step.kind != "op":
-            continue
-        required = OP_LIBRARY[step.op]["required"]
-        measured = float(op_scc[step.name][0])
-        violated = required is not None and abs(measured - required) > tolerance
-        entries.append(
-            AuditEntry(
-                node=step.name,
-                op=step.op,
-                required_scc=required,
-                measured_scc=measured,
-                expected_value=expected[step.name],
-                measured_value=node_values[step.name],
-                violated=violated,
-            )
-        )
-    return GraphAudit(entries=entries, values=node_values, expected=expected)
+    _, ones, op_scc, _ = _execute(
+        plan, length, levels=resolved, keep=(), tile_words=tile_words,
+        want_values_all=True, want_op_scc=True, jobs=jobs,
+    )
+    return _graph_audit(plan, length, ones, op_scc, tolerance)

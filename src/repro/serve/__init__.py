@@ -19,10 +19,13 @@ engine pass:
   a request served in a batch of 40 returns byte-identical payload to
   the same request served solo. :func:`~repro.serve.batcher.execute_group`
   is the single code path for both (solo is a group of one).
-* Groups whose materialised footprint
-  (:func:`~repro.bitstream.streaming.materialized_batch_bytes`) exceeds
-  the memory budget shed load into the constant-memory tile scheduler
-  (:func:`~repro.engine.streaming.run_streaming`), still bit-identical.
+* Groups whose whole-stream pass would exceed the memory budget —
+  packed words, comparator sequences, and transform operands, priced by
+  :func:`~repro.serve.batcher.whole_stream_bytes` — shed load into
+  constant-memory tiles (:func:`~repro.engine.streaming.run_streaming`
+  for runs, ``audit_batch(tile_words=...)`` for audits, overrides
+  included), still bit-identical. Only plans with ``fsm``-domain
+  transforms, which have no streaming carriers, cannot shed.
 * The LRU plan cache and the content-addressed result store are shared
   across all connections: a store hit short-circuits the engine
   entirely.

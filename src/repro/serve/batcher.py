@@ -19,18 +19,16 @@ Pipeline of one group (all requests share a
    their graph-default value, so row *i* is exactly request *i*'s solo
    configuration. A group with no overrides anywhere collapses to a
    single shared row.
-3. **Route** — the materialised footprint estimate
-   (:func:`~repro.bitstream.streaming.materialized_batch_bytes`)
-   decides between the materialised executor and the constant-memory
-   tile scheduler (:func:`~repro.engine.streaming.run_streaming`,
-   bit-identical by construction). Audits with overrides always use
-   :func:`~repro.engine.executor.audit_batch` — the streaming auditor
-   takes no per-source overrides (its N = 2^22 use case audits graph
-   defaults), so the budget can only reroute *default-configuration*
-   audits; this is the one documented load-shed gap.
+3. **Route** — :func:`whole_stream_bytes` prices a whole-stream pass;
+   over budget, the group sheds into constant-memory tiles, one call per
+   request kind: runs to :func:`~repro.engine.streaming.run_streaming`
+   instead of :func:`~repro.engine.executor.run_batch`, audits (with or
+   without overrides) to :func:`~repro.engine.executor.audit_batch` with
+   ``tile_words``/``jobs``. Both routes are bit-identical. Only plans
+   with ``fsm``-domain transforms (no streaming carriers) cannot shed.
 4. **Split** — per-request results are rendered from their row
-   (config-independent nodes have one shared row) and written back to
-   the store.
+   (config-independent nodes, and every entry of an override-free
+   group, have one shared row) and written back to the store.
 
 This module is synchronous and socket-free on purpose: the asyncio
 server calls it on a worker thread, tests and docs call it directly.
@@ -38,13 +36,13 @@ server calls it on a worker thread, tests and docs call it directly.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..engine.executor import audit_batch, run_batch
 from ..engine.plan import ExecutionPlan
-from ..engine.streaming import audit_streaming, run_streaming
+from ..engine.streaming import run_streaming
 from ..exceptions import GraphCompilationError
 from ..bitstream.streaming import DEFAULT_TILE_WORDS, materialized_batch_bytes
 from ..obs import counter_add
@@ -57,9 +55,10 @@ __all__ = [
     "execute_group",
     "merged_values",
     "store_key",
+    "whole_stream_bytes",
 ]
 
-# 256 MiB of live packed buffers before a group sheds into streaming.
+# 256 MiB for one whole-stream pass before a group sheds into tiles.
 DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024
 
 
@@ -137,6 +136,9 @@ def _render_run(run, i: int, req: ServeRequest) -> Dict[str, Any]:
 
 
 def _render_audit_batch(audit, i: int, req: ServeRequest) -> Dict[str, Any]:
+    """Request ``i``'s deterministic payload from a (batched) audit — an
+    override-free group shares its one row."""
+    i = min(i, audit.batch_size - 1)
     entries = [
         {
             "node": e.node,
@@ -158,29 +160,37 @@ def _render_audit_batch(audit, i: int, req: ServeRequest) -> Dict[str, Any]:
     }
 
 
-def _render_audit_graph(audit, req: ServeRequest) -> Dict[str, Any]:
-    """Same payload shape from a streaming :class:`GraphAudit` (scalar
-    entries; only reachable for override-free groups, where every row is
-    the shared default configuration)."""
-    entries = [
-        {
-            "node": e.node,
-            "op": e.op,
-            "required_scc": e.required_scc,
-            "measured_scc": float(e.measured_scc),
-            "expected_value": float(e.expected_value),
-            "measured_value": float(e.measured_value),
-            "violated": bool(e.violated),
-        }
-        for e in audit.entries
-    ]
-    return {
-        "graph": req.graph,
-        "length": req.length,
-        "tolerance": req.tolerance,
-        "entries": entries,
-        "violations": sum(e["violated"] for e in entries),
-    }
+def whole_stream_bytes(plan: ExecutionPlan, batch: int, length: int) -> int:
+    """What one whole-stream pass of ``plan`` allocates, for the shed
+    decision (see :func:`~repro.bitstream.streaming.materialized_batch_bytes`)."""
+    return materialized_batch_bytes(
+        len(plan.steps), batch, length,
+        sequences=len({(s.rng_spec, s.rng_kwargs) for s in plan.source_steps}),
+        transform_groups=len({s.group for s in plan.steps if s.kind == "transform"}),
+    )
+
+
+def _engine_pass(
+    req0: ServeRequest,
+    plan: ExecutionPlan,
+    values: Optional[Dict[str, np.ndarray]],
+    keep: Optional[List[str]],
+    tiles: Dict[str, int],
+) -> Callable[[int, ServeRequest], Dict[str, Any]]:
+    """The group's one engine call — whole-stream when ``tiles`` is
+    empty, else constant-memory tiles of ``tiles["tile_words"]`` over
+    ``tiles["jobs"]`` workers — returned as a per-row renderer."""
+    if req0.kind == "run":
+        runner = run_streaming if tiles else run_batch
+        run = runner(
+            plan, req0.length, values=values, keep=keep,
+            encoding=req0.encoding, **tiles,
+        )
+        return lambda j, req: _render_run(run, j, req)
+    audit = audit_batch(
+        plan, req0.length, values=values, tolerance=req0.tolerance, **tiles
+    )
+    return lambda j, req: _render_audit_batch(audit, j, req)
 
 
 def execute_group(
@@ -199,8 +209,9 @@ def execute_group(
         plan: the compiled plan all of them target.
         store: optional shared result store — hits short-circuit the
             engine; misses are written back (atomic, last-writer-wins).
-        budget_bytes: materialised-footprint budget above which the
-            group sheds into the streaming backend.
+        budget_bytes: budget for one whole-stream pass
+            (:func:`whole_stream_bytes`) above which the group sheds
+            into constant-memory tiles.
         stream_jobs / tile_words: parameters of the shed path.
 
     Returns one response dict per request, in request order:
@@ -229,60 +240,27 @@ def execute_group(
         miss_reqs = [requests[i] for i in misses]
         values = merged_values(miss_reqs, plan)
         batch = len(miss_reqs) if values is not None else 1
-        footprint = materialized_batch_bytes(len(plan.steps), batch, req0.length)
-        shed = footprint > budget_bytes
+        shed = whole_stream_bytes(plan, batch, req0.length) > budget_bytes
         keep = list(req0.keep) if req0.keep is not None else None
+        route = "streamed" if shed else "batched"
+        tiles = {"tile_words": tile_words, "jobs": stream_jobs} if shed else {}
         with obs_span(
             "serve.execute",
             kind=req0.kind, graph=req0.graph, length=req0.length,
             batch=len(miss_reqs), shed=shed,
         ):
-            if req0.kind == "run":
+            try:
+                render = _engine_pass(req0, plan, values, keep, tiles)
+            except GraphCompilationError:
+                if not shed:
+                    raise
+                # Plans with fsm-domain transforms have no streaming
+                # carriers; the budget cannot reroute them, so they take
+                # the whole-stream pass.
                 route = "batched"
-                if shed:
-                    try:
-                        run = run_streaming(
-                            plan, req0.length, values=values, keep=keep,
-                            encoding=req0.encoding, tile_words=tile_words,
-                            jobs=stream_jobs,
-                        )
-                        route = "streamed"
-                    except GraphCompilationError:
-                        # Plans with fsm-domain transforms have no
-                        # streaming carriers; the budget cannot reroute
-                        # them, so they take the materialised pass.
-                        run = None
-                    if route == "streamed":
-                        for j, i in enumerate(misses):
-                            results[i] = _render_run(run, j, requests[i])
-                if route == "batched":
-                    run = run_batch(
-                        plan, req0.length, values=values, keep=keep,
-                        encoding=req0.encoding,
-                    )
-                    for j, i in enumerate(misses):
-                        results[i] = _render_run(run, j, requests[i])
-            else:  # audit
-                if shed and values is None:
-                    try:
-                        ga = audit_streaming(
-                            plan, req0.length, tolerance=req0.tolerance,
-                            tile_words=tile_words, jobs=stream_jobs,
-                        )
-                        route = "streamed"
-                        for i in misses:
-                            results[i] = _render_audit_graph(ga, requests[i])
-                    except GraphCompilationError:
-                        route = "batched"
-                else:
-                    route = "batched"
-                if route == "batched":
-                    ba = audit_batch(
-                        plan, req0.length, values=values,
-                        tolerance=req0.tolerance,
-                    )
-                    for j, i in enumerate(misses):
-                        results[i] = _render_audit_batch(ba, j, requests[i])
+                render = _engine_pass(req0, plan, values, keep, {})
+            for j, i in enumerate(misses):
+                results[i] = render(j, requests[i])
 
         if store is not None:
             # Intra-group duplicates may write the same key twice; the

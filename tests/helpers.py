@@ -60,6 +60,29 @@ def assert_backends_equivalent(
         )
 
 
+def fsm_domain_graph(a=0.5, b=0.5):
+    """A graph whose only transform has no kernel and no streaming
+    carrier: a subclass of a kernelized circuit classifies as ``fsm``
+    domain (per-cycle reference loop), so only a whole-stream tile can
+    evaluate it."""
+    from repro import SCGraph
+    from repro.core import Synchronizer
+    from repro.graph.nodes import TransformNode
+
+    class Tweaked(Synchronizer):
+        pass
+
+    g = SCGraph()
+    g.source("a", a, "vdc")
+    g.source("b", b, "halton3")
+    shared = {}
+    transform = Tweaked(1)
+    g.add(TransformNode("t_x", transform, ("a", "b"), 0, shared))
+    g.add(TransformNode("t_y", transform, ("a", "b"), 1, shared))
+    g.op("prod", "mul", "t_x", "t_y")
+    return g
+
+
 def in_process_lane():
     """Decline the persistent pool as on a platform without ``fork``:
     ``jobs > 1`` calls then run their span tasks in-process."""

@@ -16,7 +16,7 @@ from repro.bitstream.packed import unpack_bits
 from repro.engine.library import GRAPH_LIBRARY, build_graph, depth_chain_graph
 from repro.exceptions import GraphCompilationError
 from repro.graph.nodes import Node, TransformNode
-from tests.helpers import assert_backends_equivalent
+from tests.helpers import assert_backends_equivalent, fsm_domain_graph
 
 LENGTHS = [7, 64, 100, 256, 333]
 
@@ -175,6 +175,179 @@ class TestBatchAudit:
             batch.entry("ghost")
 
 
+class TestCarrierlessPlans:
+    """Plans with an ``fsm``-domain transform have no streaming carrier:
+    the whole-stream tile runs them through the circuit's one-shot
+    ``_process_bits``; tiled walks must reject them."""
+
+    VALUES = np.array([0.125, 0.5, 0.8125])
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_run_and_rows_match_interpreter(self, optimize):
+        plan = engine.compile(fsm_domain_graph(), optimize=optimize)
+        assert plan.fsm_nodes == ["t_x", "t_y"]
+        interp = fsm_domain_graph().run(333, backend="interpreter")
+        eng = plan.run(333)
+        assert list(eng) == list(interp)
+        for name in interp:
+            assert np.array_equal(eng[name], interp[name]), name
+        batch = plan.run_batch(333, values={"a": self.VALUES})
+        for row, value in enumerate(self.VALUES):
+            ref = fsm_domain_graph(a=value).run(333, backend="interpreter")
+            for name in ref:
+                got = batch.bits(name)[min(row, batch.packed[name].shape[0] - 1)]
+                assert np.array_equal(got, ref[name]), (name, row)
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_audit_and_rows_match_interpreter(self, optimize):
+        plan = engine.compile(fsm_domain_graph(), optimize=optimize)
+        ref = fsm_domain_graph().audit(333, backend="interpreter")
+        got = plan.audit(333)
+        assert got.entries == ref.entries
+        assert got.values == ref.values
+        batch = plan.audit_batch(333, values={"a": self.VALUES})
+        for row, value in enumerate(self.VALUES):
+            scalar = fsm_domain_graph(a=value).audit(333, backend="interpreter")
+            for s_entry, b_entry in zip(scalar.entries, batch.entries):
+                assert s_entry.measured_scc == b_entry.measured_scc[row]
+                assert s_entry.measured_value == b_entry.measured_value[row]
+                assert s_entry.violated == bool(b_entry.violated[row])
+
+    def test_tiled_walks_raise(self):
+        plan = engine.compile(fsm_domain_graph())
+        with pytest.raises(GraphCompilationError, match="no chunk-resumable"):
+            plan.run_streaming(333, tile_words=2)
+        with pytest.raises(GraphCompilationError, match="no chunk-resumable"):
+            plan.audit_streaming(333, tile_words=2)
+        with pytest.raises(GraphCompilationError, match="no chunk-resumable"):
+            plan.audit_batch(333, tile_words=2)
+
+
+class TestWholeStreamWalk:
+    def test_batch_calls_are_not_stream_walks(self):
+        """A whole-stream tile keeps the batch calls' ``engine.execute``
+        span and opens no ``engine.stream*`` span, nor counts tiles."""
+        from repro import obs
+
+        plan = engine.compile(build_graph("fsm_zoo"))
+        with obs.observe() as trace:
+            plan.run_batch(300)
+            plan.audit(300)
+            plan.audit_batch(300, values={"a": [0.25, 0.75]})
+        names = {rec["name"] for rec in trace.spans}
+        assert len(trace.by_name("engine.execute")) == 3
+        assert not any(name.startswith("engine.stream") for name in names)
+        counters = trace.metrics["counters"]
+        assert "engine.stream.tiles" not in counters
+        assert "engine.stream.words" not in counters
+
+    def test_audit_batch_tiles_match_whole_stream(self):
+        plan = engine.compile(depth_chain_graph(5))
+        values = {"src0": np.linspace(0.1, 0.9, 5), "src3": np.full(5, 0.3)}
+        whole = plan.audit_batch(1001, values=values)
+        for tile_words, jobs in ((1, 1), (3, 1), (2, 2)):
+            tiled = plan.audit_batch(
+                1001, values=values, tile_words=tile_words, jobs=jobs
+            )
+            assert tiled.batch_size == whole.batch_size
+            for a, b in zip(whole.entries, tiled.entries):
+                assert a.node == b.node
+                for field in ("measured_scc", "measured_value", "expected_value", "violated"):
+                    assert np.array_equal(getattr(a, field), getattr(b, field)), field
+            for name in whole.values:
+                assert np.array_equal(whole.values[name], tiled.values[name])
+
+    def test_optimized_walk_recycles_into_arena(self):
+        # Every buffer of an audit leaves the walk at its free point, so
+        # a depth-8 chain needs far fewer fresh buffers than steps.
+        from repro import obs
+
+        plan = engine.compile(depth_chain_graph(8))
+        with obs.observe() as trace:
+            plan.audit(512)
+        counters = trace.metrics["counters"]
+        assert counters["engine.arena.reuse"] > 0
+        assert counters["engine.arena.alloc"] < len(plan.steps)
+
+
+class TestSequenceMemo:
+    @pytest.fixture(autouse=True)
+    def _clean_memo(self):
+        engine.clear_sequence_cache()
+        yield
+        engine.clear_sequence_cache()
+
+    def test_memo_is_bounded_in_bytes(self):
+        from repro import obs
+        from repro.engine import executor as ex
+
+        n = 1 << 22
+        with obs.observe() as trace:
+            for width in (22, 23, 24):
+                seq = ex._rng_sequence("vdc", (("width", width),), n)
+                assert seq.nbytes == 8 * n
+        held = sum(a.nbytes for a in ex._SEQ_CACHE.values())
+        assert held <= ex._SEQ_CACHE_BYTES
+        assert held == ex._seq_cache_nbytes
+        assert trace.metrics["counters"]["engine.seq_memo.evict"] >= 1
+        # The oldest sequence went first; the newest is held.
+        assert ("vdc", (("width", 22),), n) not in ex._SEQ_CACHE
+        assert ("vdc", (("width", 24),), n) in ex._SEQ_CACHE
+
+    def test_oversized_sequence_is_not_stored(self, monkeypatch):
+        from repro.engine import executor as ex
+
+        monkeypatch.setattr(ex, "_SEQ_CACHE_BYTES", 1024)
+        small = ex._rng_sequence("vdc", (), 64)
+        big = ex._rng_sequence("vdc", (), 4096)
+        assert np.array_equal(big[:64], small)
+        assert list(ex._SEQ_CACHE) == [("vdc", (), 64)]
+        assert ex._seq_cache_nbytes == small.nbytes
+
+    def test_byte_total_survives_thread_hammer(self, monkeypatch):
+        import sys
+        import threading
+
+        from repro.engine import executor as ex
+        from repro.rng import make_rng
+
+        monkeypatch.setattr(ex, "_SEQ_CACHE_BYTES", 4 * 8 * 512)
+        keys = [(spec, n) for spec in ("vdc", "halton3", "halton5") for n in (256, 384, 512)]
+        errors = []
+
+        def worker(seed):
+            for i in range(60):
+                spec, n = keys[(seed * 7 + i) % len(keys)]
+                got = ex._rng_sequence(spec, (), n)
+                if not np.array_equal(got, make_rng(spec).sequence(n)):
+                    errors.append((spec, n))
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        held = sum(a.nbytes for a in ex._SEQ_CACHE.values())
+        assert held == ex._seq_cache_nbytes <= ex._SEQ_CACHE_BYTES
+
+    def test_hits_refresh_recency(self, monkeypatch):
+        from repro.engine import executor as ex
+
+        monkeypatch.setattr(ex, "_SEQ_CACHE_BYTES", 3 * 8 * 256)
+        for spec in ("vdc", "halton3", "halton5"):
+            ex._rng_sequence(spec, (), 256)
+        ex._rng_sequence("vdc", (), 256)  # hit: now the most recent
+        ex._rng_sequence("halton7", (), 256)  # evicts halton3, not vdc
+        assert [key[0] for key in ex._SEQ_CACHE] == ["halton5", "vdc", "halton7"]
+
+
 class TestPlanAndCache:
     def test_levelization(self):
         plan = engine.compile(build_graph("mixed_pipeline"))
@@ -327,11 +500,11 @@ class TestPipelineEngineBackend:
         # The interpreter's scaled-add emit and the engine's packed mux
         # must draw their select bits from one helper.
         from repro.bitstream.packed import unpack_bits as _unpack
-        from repro.engine.executor import _select_words
+        from repro.engine.streaming import _select_tile
         from repro.graph.nodes import mux_select_bits
 
         assert np.array_equal(
-            _unpack(_select_words(133), 133)[0], mux_select_bits(133)
+            _unpack(_select_tile(0, 133), 133)[0], mux_select_bits(133)
         )
 
     def test_propagation_backends_agree_on_pure_gates(self):

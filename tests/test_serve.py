@@ -19,11 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bitstream.streaming import materialized_batch_bytes
 from repro.engine.library import build_graph, depth_chain_graph
 from repro.engine.plan import cache_info, clear_cache, compile_graph
 from repro.runner.store import ResultStore
 from repro.serve import ServeClient, ServeConfig, ServerThread, execute_group
-from repro.serve.batcher import merged_values, store_key
+from repro.serve.batcher import (
+    DEFAULT_BUDGET_BYTES,
+    merged_values,
+    store_key,
+    whole_stream_bytes,
+)
 from repro.serve.loadgen import audit_request, run_load
 from repro.serve.protocol import (
     ProtocolError,
@@ -38,7 +44,7 @@ from repro.serve.protocol import (
     words_to_b64,
 )
 
-from tests.helpers import assert_backends_equivalent
+from tests.helpers import assert_backends_equivalent, fsm_domain_graph
 
 
 def _plan(name):
@@ -186,13 +192,116 @@ class TestExecuteGroup:
             batched["result"]
         )
 
-    def test_shed_audit_with_overrides_stays_batched(self):
-        # The streaming auditor takes no per-source overrides — the one
-        # documented load-shed gap: overridden audits always materialise.
+    def test_shed_audit_with_overrides_streams(self):
+        # An over-budget audit with per-source overrides sheds into
+        # constant-memory tiles like every other group, and its payload
+        # is byte-identical to the unshed group's.
         plan = _plan("depth8")
         req = _req(0, values={"src0": 0.3})
+        batched = execute_group([req], plan)[0]
         shed = execute_group([req], plan, budget_bytes=1)[0]
-        assert shed["meta"]["route"] == "batched"
+        assert batched["meta"]["route"] == "batched"
+        assert shed["meta"]["route"] == "streamed"
+        assert canonical_result(shed["result"]) == canonical_result(
+            batched["result"]
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shed_coalesced_audits_with_overrides_stream_at_any_jobs(self, jobs):
+        plan = _plan("depth8")
+        reqs = [
+            _req(i, length=4099, values={"src0": 0.1 * (i + 1), "src3": 0.6})
+            for i in range(3)
+        ]
+        batched = execute_group(reqs, plan)
+        shed = execute_group(
+            reqs, plan, budget_bytes=1, stream_jobs=jobs, tile_words=8
+        )
+        assert {r["meta"]["route"] for r in batched} == {"batched"}
+        assert {r["meta"]["route"] for r in shed} == {"streamed"}
+        for a, b in zip(batched, shed):
+            assert canonical_result(a["result"]) == canonical_result(b["result"])
+
+    @pytest.mark.parametrize("budget", [DEFAULT_BUDGET_BYTES, 1])
+    def test_override_free_audits_share_one_row(self, budget):
+        # No request overrides anything: the group runs one shared
+        # default-configuration row, and every request renders it.
+        plan = _plan("depth8")
+        reqs = [_req(i) for i in range(3)]
+        solo = execute_group([reqs[0]], plan)[0]
+        for got in execute_group(reqs, plan, budget_bytes=budget):
+            assert got["meta"]["coalesced"] == 3
+            assert canonical_result(got["result"]) == canonical_result(
+                solo["result"]
+            )
+
+    @pytest.mark.parametrize("kind", ["run", "audit"])
+    def test_carrierless_plan_sheds_back_to_batched(self, kind):
+        # fsm-domain transforms have no streaming carrier: an
+        # over-budget group falls back to the whole-stream pass, with
+        # the unshed group's bytes.
+        plan = compile_graph(fsm_domain_graph())
+        reqs = [
+            parse_request(
+                {
+                    "id": f"r{i}", "kind": kind, "graph": "fsm_domain",
+                    "length": 333, "values": {"a": 0.25 * (i + 1)},
+                    "bits": True,
+                }
+            )
+            for i in range(3)
+        ]
+        normal = execute_group(reqs, plan)
+        shed = execute_group(reqs, plan, budget_bytes=1)
+        assert {r["meta"]["route"] for r in normal} == {"batched"}
+        assert {r["meta"]["route"] for r in shed} == {"batched"}
+        for a, b in zip(normal, shed):
+            assert canonical_result(a["result"]) == canonical_result(b["result"])
+
+    def test_sequences_count_toward_the_budget(self):
+        # At N = 2^18 a depth-8 audit's packed words (~0.5 MiB) fit a
+        # 4 MiB budget, but its five comparator sequences (2 MiB each)
+        # do not: the group must shed.
+        plan = _plan("depth8")
+        n = 1 << 18
+        words_only = materialized_batch_bytes(len(plan.steps), 1, n)
+        assert words_only < 4 << 20 < whole_stream_bytes(plan, 1, n)
+        req = _req(0, length=n, values={"src1": 0.4})
+        shed = execute_group([req], plan, budget_bytes=4 << 20)[0]
+        assert shed["meta"]["route"] == "streamed"
+        batched = execute_group([req], plan)[0]
+        assert canonical_result(shed["result"]) == canonical_result(
+            batched["result"]
+        )
+
+    @pytest.mark.parametrize("name, kind", [("depth8", "audit"), ("fsm_zoo", "run")])
+    def test_estimate_covers_the_traced_pass(self, name, kind):
+        """The shed estimate is at least half of what a whole-stream pass
+        allocates. Kernel caches are warmed first (they outlive the call)
+        and the sequence memo is cold; both sides are then linear in N —
+        the ratio measured at N = 2^20 (0.64 depth8, 0.76 fsm_zoo) holds
+        at the N tested here."""
+        import tracemalloc
+
+        from repro.engine import clear_sequence_cache
+        from repro.engine.executor import audit_batch, run_batch
+
+        plan = _plan(name)
+        call = audit_batch if kind == "audit" else run_batch
+        n = 1 << 16
+        call(plan, 256)
+        clear_sequence_cache()
+        tracemalloc.start()
+        try:
+            call(plan, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            clear_sequence_cache()
+        estimate = whole_stream_bytes(plan, 1, n)
+        assert estimate >= peak / 2, (estimate, peak)
+        # Packed words alone miss most of the pass.
+        assert materialized_batch_bytes(len(plan.steps), 1, n) < peak / 10
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -492,7 +492,7 @@ class TestValidationAndCaches:
         ex._reinit_after_fork()
         est._reinit_after_fork()
         assert ex._SEQ_LOCK is not old_lock
-        assert not ex._SEQ_CACHE and not ex._SELECT_CACHE
+        assert not ex._SEQ_CACHE
         assert not est._SELECT_TILE_CACHE
         assert ex._SEQ_LOCK.acquire(blocking=False)
         ex._SEQ_LOCK.release()
