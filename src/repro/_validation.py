@@ -41,9 +41,23 @@ def as_bit_array(bits: ArrayLike, *, name: str = "bits") -> np.ndarray:
         arr = np.asarray(bits)
         if arr.dtype == bool:
             arr = arr.astype(np.uint8)
-    if arr.size and not np.isin(np.unique(arr), (0, 1)).all():
+    if arr.size and not _only_zeros_and_ones(arr):
         raise EncodingError(f"{name}: bit arrays may only contain 0 and 1")
     return arr.astype(np.uint8, copy=False)
+
+
+def _only_zeros_and_ones(arr: np.ndarray) -> bool:
+    """Is every element of the non-empty ``arr`` 0 or 1?
+
+    Integer dtypes answer with one or two reductions; sorting the array
+    for its unique values costs far more on large bit matrices.
+    """
+    kind = arr.dtype.kind
+    if kind == "u":
+        return bool(arr.max() <= 1)
+    if kind == "i":
+        return bool(arr.min() >= 0 and arr.max() <= 1)
+    return bool(np.isin(np.unique(arr), (0, 1)).all())
 
 
 def as_bit_matrix(bits: ArrayLike, *, name: str = "bits") -> np.ndarray:

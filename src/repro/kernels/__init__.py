@@ -9,9 +9,9 @@ were the last interpreter-bound hot path: every one ran a python
 * :mod:`repro.kernels.tables` — lowers each bounded-state circuit to
   explicit ``(symbol, state) -> (next_state, out_bits)`` transition
   tables (plus per-``remaining`` tail tables for the flush modes);
-* :mod:`repro.kernels.steppers` — two vectorised executors over those
-  tables (a chunked-LUT stepper and a log-doubling prefix-scan stepper)
-  with an auto-chosen strategy per ``(length, batch, n_states)``;
+* :mod:`repro.kernels.steppers` — the chunked-LUT stepper over those
+  tables (a few rows walk one at a time on python ints, larger batches
+  gather over all rows per chunk);
 * :mod:`repro.kernels.dispatch` — per-instance kernel caching, the
   ``auto``/``reference`` backend switch, and the dedicated gather
   kernels (shuffle buffer, TFM output stage).
@@ -42,7 +42,6 @@ from .dispatch import (
 from .steppers import (
     STRATEGIES,
     choose_chunk,
-    choose_strategy,
     state_trajectory,
     step_chunk,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "state_trajectory",
     "step_chunk",
     "choose_chunk",
-    "choose_strategy",
     "PairCarrier",
     "StreamCarrier",
     "make_pair_carrier",

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..obs import counter_add
 from ..obs import span as obs_span
-from .steppers import STRATEGIES, choose_strategy, chunked_outputs, state_trajectory
+from .steppers import STRATEGIES, chunked_outputs, state_trajectory
 from .tables import CompiledFSM, compile_transform
 
 __all__ = [
@@ -72,8 +72,8 @@ def get_strategy() -> str:
 
 
 def set_strategy(strategy: str) -> None:
-    """Force a stepper (``"chunked"`` / ``"scan"`` / ``"step"``) or
-    restore ``"auto"`` cost-model selection."""
+    """Force per-cycle stepping (``"step"``) or restore the chunked
+    stepper (``"auto"``, the default)."""
     global _strategy
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
@@ -140,18 +140,16 @@ def _run_tables(
 
     The chunked stepper emits output bits straight from its composed
     LUTs and builds chunk codes directly from the two input bit planes
-    (the symbol matrix is never materialised); the scan/step strategies
-    recover the state trajectory first and gather outputs from it.
+    (the symbol matrix is never materialised); the ``"step"`` strategy
+    recovers the state trajectory cycle by cycle and gathers outputs
+    from it.
     """
     batch, length = x.shape
     tail = min(len(fsm.tails), length)
     steady_len = length - tail
     want_y = fsm.steady.out_y is not None
 
-    strategy = _strategy
-    if strategy == "auto":
-        strategy = choose_strategy(batch, steady_len, fsm.n_states, fsm.n_symbols)
-    if strategy == "chunked":
+    if _strategy != "step":
         ox_steady, oy_steady, state = chunked_outputs(
             fsm, x[:, :steady_len], y[:, :steady_len],
             _initial_states(fsm, batch),
@@ -166,7 +164,7 @@ def _run_tables(
         out_x = np.empty((batch, length), dtype=np.uint8)
         out_y = np.empty((batch, length), dtype=np.uint8) if want_y else None
         head = _pair_symbols(x[:, :steady_len], y[:, :steady_len])
-        states, state = state_trajectory(fsm, head, strategy=strategy)
+        states, state = state_trajectory(fsm, head, strategy="step")
         out_x[:, :steady_len] = fsm.steady.out_x[head, states]
         if want_y:
             out_y[:, :steady_len] = fsm.steady.out_y[head, states]

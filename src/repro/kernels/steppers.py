@@ -2,38 +2,32 @@
 
 The reference FSM loops run one numpy masked-update pass *per stream bit*
 — ``O(length)`` python-level iterations, each touching only ``batch``
-elements. Given a :class:`~repro.kernels.tables.CompiledFSM`, the steppers
-here recover the state trajectory with far fewer, far fatter numpy calls:
+elements. Given a :class:`~repro.kernels.tables.CompiledFSM`, the
+chunked-LUT stepper here recovers the state trajectory with far fewer
+python iterations: it pre-composes the per-symbol transition functions
+over every possible ``k``-symbol window into one LUT ``(symbol-chunk
+code, state) -> state`` (``n_symbols**k * n_states`` entries, cached per
+FSM). The LUT is built by doubling: the 2-, 4-, 8-… step maps are each
+one gather of the previous map through itself, and the binary digits of
+``k`` pick which of them to chain, so a build costs about ``log2 k``
+gathers instead of ``k`` full passes. The time loop then advances ``k``
+cycles per lookup: ``length/k + 2k`` python iterations.
 
-* **chunked-LUT stepper** — pre-composes the per-symbol transition
-  functions over every possible ``k``-symbol window into one LUT
-  ``(symbol-chunk code, state) -> state`` (``n_symbols**k * n_states``
-  entries, cached per FSM). The LUT is built by doubling: the 2-, 4-,
-  8-… step maps are each one gather of the previous map through itself,
-  and the binary digits of ``k`` pick which of them to chain, so a build
-  costs about ``log2 k`` gathers instead of ``k`` full passes. The time
-  loop then advances ``k`` cycles per lookup: ``length/k + 2k`` python
-  iterations. A batch of rows is advanced with one fancy-indexed gather
-  over the whole batch per chunk; a single row (``batch == 1``, the
-  tile-streaming shape) is walked with python ints through a zero-copy
-  ``memoryview`` of the LUT, because a numpy call per chunk on a 1-row
-  array costs far more dispatch than lookup.
-* **log-doubling scan stepper** — materialises each cycle's transition
-  function as a ``(batch, length, n_states)`` state-map tensor and
-  composes prefixes associatively by Hillis–Steele doubling:
-  ``O(log length)`` python iterations of ``O(batch * length * n_states)``
-  gathers. Wins when the batch is small and the stream long (the chunked
-  stepper's per-call overhead dominates there).
+How a chunk loop runs depends on the batch. A batch of up to eight
+rows (the tile-streaming and served shapes) is walked one row at a
+time with python ints through a zero-copy ``memoryview`` of the LUT,
+because a numpy call per chunk on a few-row array costs far more
+dispatch than lookup. A larger batch (the paper sweeps, hundreds of
+rows) advances all rows with one fancy-indexed gather per chunk.
 
-Both produce the exact state sequence of the reference loop — the
-trajectory is defined by the tables, and the tables are exact — so the
-outputs gathered from them are bit-identical. ``strategy="auto"`` picks
-per ``(length, batch, n_states)`` with a simple cost model.
+The trajectory is defined by the tables, and the tables are exact, so
+the outputs gathered from it are bit-identical to the reference loop.
+``strategy="auto"`` is the chunked stepper; ``"step"`` forces per-cycle
+stepping (the reference the tests compare against).
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from typing import Optional, Tuple
 
@@ -47,23 +41,21 @@ __all__ = [
     "step_chunk",
     "compose_chunk",
     "choose_chunk",
-    "choose_strategy",
     "STRATEGIES",
 ]
 
-STRATEGIES = ("auto", "chunked", "scan", "step")
+STRATEGIES = ("auto", "step")
 
 # Composed chunk LUTs are capped at this many entries (~2 MB of int16).
 _CHUNK_TABLE_LIMIT = 1 << 20
 _MAX_CHUNK = 16
 
-# Rough element-equivalent cost of one python-level numpy dispatch; used
-# only to pick a strategy, so the exact value is uncritical.
-_CALL_OVERHEAD = 4096
-
-# The scan tensor is (batch, length, n_states) int16; refuse to build one
-# beyond this many elements (auto falls back to chunked).
-_SCAN_ELEMENT_LIMIT = 1 << 27
+# Batches up to this many rows walk their chunk loops one row at a time
+# with python ints; larger ones take one gather per chunk over the batch.
+# At N=256 a batch of 32 already runs faster on the gathers. Served
+# fsm_zoo runs coalesce a few requests a group: at N=2^12 a batch-2 run
+# takes 1.4 ms this way against 7.1 ms with batch-1-only walks (2 vCPU).
+_ROW_WALK_BATCH = 8
 
 
 def choose_chunk(n_symbols: int, n_states: int) -> int:
@@ -75,25 +67,6 @@ def choose_chunk(n_symbols: int, n_states: int) -> int:
     ):
         k += 1
     return k
-
-
-def choose_strategy(batch: int, length: int, n_states: int, n_symbols: int) -> str:
-    """Cost-model pick between the chunked and scan steppers."""
-    if length <= 1:
-        return "step"
-    k = choose_chunk(n_symbols, n_states)
-    chunks = length // k
-    chunk_cost = (
-        batch * length                      # intra-chunk expansion gathers
-        + batch * chunks                    # chunk-entry gathers
-        + _CALL_OVERHEAD * (chunks + k + (length - chunks * k))
-    )
-    rounds = max(1, math.ceil(math.log2(length)))
-    scan_elements = batch * length * n_states
-    scan_cost = scan_elements * (rounds + 1) + _CALL_OVERHEAD * (rounds + 2)
-    if scan_cost < chunk_cost and scan_elements <= _SCAN_ELEMENT_LIMIT:
-        return "scan"
-    return "chunked"
 
 
 def _composed_table(fsm: CompiledFSM, k: int, fused: bool) -> np.ndarray:
@@ -244,10 +217,13 @@ def _chunked_trajectory(
         comp = _composed_table(fsm, k, fused=False)
         sym3 = symbols[:, : chunks * k].reshape(batch, chunks, k)
         codes = _chunk_codes(sym3, fsm.n_symbols, k)
-        entry = np.empty((batch, chunks), dtype=next_state.dtype)
-        for c in range(chunks):
-            entry[:, c] = state
-            state = comp[codes[:, c], state]
+        if batch <= _ROW_WALK_BATCH:
+            entry = _walk_rows(comp.ravel(), codes * np.uint32(fsm.n_states), state)
+        else:
+            entry = np.empty((batch, chunks), dtype=next_state.dtype)
+            for c in range(chunks):
+                entry[:, c] = state
+                state = comp[codes[:, c], state]
         # Expand intra-chunk states: k gathers over (batch, chunks).
         traj = np.empty((batch, chunks, k), dtype=next_state.dtype)
         st = entry
@@ -260,9 +236,9 @@ def _chunked_trajectory(
 
 
 # ---------------------------------------------------------------------- #
-# Single-row walks. With batch == 1 every numpy call in a per-chunk loop
-# moves one element, so the walks below run the chunk loop on python
-# ints over zero-copy memoryviews of the composed LUTs instead.
+# Row walks. With a few rows every numpy call in a per-chunk loop moves
+# a few elements, so the walks below run the chunk loop of one row on
+# python ints over zero-copy memoryviews of the composed LUTs instead.
 # ---------------------------------------------------------------------- #
 
 def _state_half(fused: np.ndarray) -> np.ndarray:
@@ -283,6 +259,16 @@ def _walk_states(lut: np.ndarray, bases: list, state: int) -> Tuple[list, int]:
         append(state)
         state = step[base + state]
     return entry, state
+
+
+def _walk_rows(lut: np.ndarray, index: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """:func:`_walk_states` for each row of flat chunk offsets ``index``
+    ``(batch, chunks)``: returns the ``(batch, chunks)`` states entering
+    each chunk and leaves each row's final state in ``state``."""
+    entry = np.empty(index.shape, dtype=lut.dtype)
+    for b in range(index.shape[0]):
+        entry[b], state[b] = _walk_states(lut, index[b].tolist(), int(state[b]))
+    return entry
 
 
 def _walk_map(lut: np.ndarray, bases: list, row: list) -> list:
@@ -325,13 +311,14 @@ def chunked_outputs(
     The fused chunk LUT carries, next to the k-step state map, the k
     packed per-step output bits — so the hot loop is a *single* flat
     ``take`` per chunk over the batch axis and the state trajectory is
-    never materialised. A single row instead walks its chunk entry states
-    with python ints (:func:`_walk_states`) and fetches every chunk's
-    output word in one ``take`` afterwards. Chunk codes come straight
-    from the bit planes (:func:`_pair_chunk_codes`), and the packed
-    output words are split into bit matrices with one ``np.unpackbits``
-    pass. Returns ``(out_x, out_y, final_state)`` over the inputs' full
-    extent (``out_y`` is ``None`` for single-output circuits).
+    never materialised. A batch of up to eight rows instead walks each
+    row's chunk entry states with python ints (:func:`_walk_rows`) and
+    fetches every chunk's output word in one ``take`` afterwards. Chunk
+    codes come straight from the bit planes (:func:`_pair_chunk_codes`),
+    and the packed output words are split into bit matrices with one
+    ``np.unpackbits`` pass. Returns ``(out_x, out_y, final_state)`` over
+    the inputs' full extent (``out_y`` is ``None`` for single-output
+    circuits).
     """
     next_state = fsm.steady.next_state
     batch, length = x.shape
@@ -347,15 +334,12 @@ def chunked_outputs(
         n_states = np.uint32(fsm.n_states)
         state_mask = np.uint32(0xFFFF)
         codes = _pair_chunk_codes(x, y, chunks, k)
-        if batch == 1:
+        if batch <= _ROW_WALK_BATCH:
             # Flat index fits uint32: n_codes * n_states <= the table cap.
             index = codes * n_states
-            entry, last = _walk_states(
-                _state_half(fused), index[0].tolist(), int(state[0])
-            )
-            index[0] += np.array(entry, dtype=np.uint32)
+            state = state.astype(next_state.dtype)
+            index += _walk_rows(_state_half(fused), index, state)
             words = fused.take(index) >> np.uint32(16)
-            state = np.array([last], dtype=next_state.dtype)
         else:
             words = np.empty((batch, chunks), dtype=np.uint32)
             st = state.astype(np.uint32)
@@ -530,27 +514,6 @@ def compose_chunk(
     return maps
 
 
-def _scan_trajectory(
-    fsm: CompiledFSM, symbols: np.ndarray, state: np.ndarray, states: np.ndarray,
-) -> np.ndarray:
-    next_state = fsm.steady.next_state
-    batch, length = symbols.shape
-    # g[b, t, s] = state after step t if the state before step 0 was s;
-    # initialised to the per-step maps, then prefix-composed by doubling.
-    g = next_state[symbols]                       # (batch, length, n_states)
-    d = 1
-    while d < length:
-        g[:, d:, :] = np.take_along_axis(g[:, d:, :], g[:, :-d, :], axis=2)
-        d *= 2
-    # The trajectory needs one starting column per distinct initial state;
-    # every caller starts all rows at fsm.initial_state, so a single
-    # column gather suffices.
-    init = int(state[0])
-    states[:, 0] = init
-    states[:, 1:] = g[:, :-1, init]
-    return g[:, -1, init].astype(next_state.dtype, copy=False)
-
-
 def state_trajectory(
     fsm: CompiledFSM,
     symbols: np.ndarray,
@@ -565,10 +528,10 @@ def state_trajectory(
             are the dispatcher's job).
         symbols: ``(batch, length)`` symbol indices in
             ``[0, fsm.n_symbols)``.
-        strategy: ``"auto"`` | ``"chunked"`` | ``"scan"`` | ``"step"``.
+        strategy: ``"auto"`` (the chunked stepper) or ``"step"``
+            (per-cycle stepping).
         initial: optional ``(batch,)`` starting states (defaults to
-            ``fsm.initial_state`` everywhere). The scan stepper requires
-            a uniform start and falls back to chunked otherwise.
+            ``fsm.initial_state`` everywhere).
 
     Returns:
         ``(states, final)`` — ``states[b, t]`` is row ``b``'s state
@@ -581,23 +544,15 @@ def state_trajectory(
     dtype = fsm.steady.next_state.dtype
     if initial is None:
         state = np.full(batch, fsm.initial_state, dtype=dtype)
-        uniform = True
     else:
         state = initial.astype(dtype, copy=True)
-        uniform = bool(batch) and bool(np.all(state == state[0]))
     states = np.empty((batch, length), dtype=dtype)
     if length == 0 or batch == 0:
         return states, state
-    if strategy == "auto":
-        strategy = choose_strategy(batch, length, fsm.n_states, fsm.n_symbols)
-    if strategy == "scan" and not uniform:
-        strategy = "chunked"
-    if strategy == "scan":
-        final = _scan_trajectory(fsm, symbols, state, states)
-    elif strategy == "chunked":
-        final = _chunked_trajectory(fsm, symbols, state, states)
-    else:
+    if strategy == "step":
         final = _step_trajectory(
             fsm.steady.next_state, symbols, state, states, 0, length
         )
+    else:
+        final = _chunked_trajectory(fsm, symbols, state, states)
     return states, final

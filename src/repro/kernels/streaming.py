@@ -408,7 +408,6 @@ class TFMCarrier(StreamCarrier):
         states, self._state = state_trajectory(
             self._fsm,
             np.ascontiguousarray(bits, dtype=np.uint8),
-            strategy="chunked",
             initial=self._state,
         )
         window = tfm._rng.sequence_window(self._offset, self._offset + length)

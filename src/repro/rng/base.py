@@ -17,6 +17,13 @@ Every generator in this package is deterministic and replayable:
 constructor arguments, and :meth:`StreamRNG.reset` rewinds the internal
 cursor used by the streaming :meth:`StreamRNG.next_value` interface.
 
+A generator with a finite ``period`` no larger than
+:data:`PERIOD_CACHE_LIMIT` serves ``sequence(length)`` for
+``length >= period`` by tiling its cached period (below), so a slow
+sequential ``_generate`` (the LFSR's per-step python loop) runs once
+per instance, not once per call. Shorter requests still call
+``_generate``: tiling them would build a whole period for a prefix.
+
 Windowed generation
 -------------------
 
@@ -115,8 +122,14 @@ class StreamRNG(abc.ABC):
         return self._modulus
 
     def sequence(self, length: int) -> np.ndarray:
-        """The first ``length`` values of the sequence (replayable)."""
+        """The first ``length`` values of the sequence (replayable).
+
+        Always a fresh, writable int64 array: callers may write into it.
+        """
         length = check_positive_int(length, name="length")
+        period = self._cacheable_period()
+        if period is not None and period <= length:
+            return np.tile(self._period_values(), -(-length // period))[:length]
         seq = self._generate(length)
         if seq.shape != (length,):
             raise AssertionError(
@@ -133,15 +146,25 @@ class StreamRNG(abc.ABC):
     # Windowed generation (constant-memory tile streaming)
     # ------------------------------------------------------------------ #
 
+    def _cacheable_period(self) -> Optional[int]:
+        """The ``period`` when it is at most :data:`PERIOD_CACHE_LIMIT`,
+        else ``None`` (aperiodic, or too long to cache). Generators whose
+        period is costly to learn override this to stop looking past the
+        limit (the LFSR with custom taps)."""
+        period = getattr(self, "period", None)
+        if period is None or period > PERIOD_CACHE_LIMIT:
+            return None
+        return int(period)
+
     def _period_values(self) -> Optional[np.ndarray]:
         """One full period of the sequence, cached on the instance — or
         ``None`` when the generator is aperiodic or its period exceeds
         :data:`PERIOD_CACHE_LIMIT`."""
         if self._period_cache is None:
-            period = getattr(self, "period", None)
-            if period is None or period > PERIOD_CACHE_LIMIT:
+            period = self._cacheable_period()
+            if period is None:
                 return None
-            values = self._generate(int(period)).astype(np.int64, copy=False)
+            values = self._generate(period).astype(np.int64, copy=False)
             values.setflags(write=False)
             self._period_cache = values
         return self._period_cache

@@ -23,7 +23,7 @@ import numpy as np
 
 from .._validation import check_non_negative_int, check_positive_int
 from ..exceptions import RNGConfigurationError
-from .base import StreamRNG
+from .base import PERIOD_CACHE_LIMIT, StreamRNG
 
 __all__ = ["LFSR", "MAXIMAL_TAPS"]
 
@@ -60,10 +60,13 @@ class LFSR(StreamRNG):
     """Fibonacci LFSR emitting ``state - 1`` in ``[0, 2**width - 2]``.
 
     Args:
-        width: register width in bits; period is ``2**width - 1``.
+        width: register width in bits; the period is ``2**width - 1``
+            with the built-in maximal-length taps.
         seed: initial non-zero state (defaults to 1).
         taps: optional custom tap positions (1-indexed, must include
-            ``width``); defaults to a maximal-length polynomial.
+            ``width``); defaults to a maximal-length polynomial. Taps
+            that are not maximal-length give a shorter period, the
+            length of the seed's cycle.
         phase: discard this many initial outputs — the cheap trick used to
             derive "different" SNs from one LFSR (paper Section II-B).
     """
@@ -99,6 +102,13 @@ class LFSR(StreamRNG):
         self._seed = seed
         self._taps = tuple(sorted(set(taps), reverse=True))
         self._phase = check_non_negative_int(phase, name="phase")
+        # Built-in taps are maximal-length; custom taps measure the
+        # seed's cycle on first use (see ``period``). ``_long_cycle``
+        # records a walk that gave up past the period cache limit.
+        self._period: Optional[int] = (
+            period if self._taps == MAXIMAL_TAPS.get(width) else None
+        )
+        self._long_cycle = False
 
     @property
     def name(self) -> str:
@@ -110,8 +120,34 @@ class LFSR(StreamRNG):
 
     @property
     def period(self) -> int:
-        """Sequence period: ``2**width - 1`` for maximal-length taps."""
-        return (1 << self._width) - 1
+        """Sequence period: the length of the seed's cycle.
+
+        ``2**width - 1`` for maximal-length taps. Custom taps walk the
+        cycle once, on first read: the top tap is ``width``, so the state
+        map is a bijection and the seed always comes back. That walk is
+        O(period) python steps; :meth:`sequence` and the windowed reads
+        never ask for more than :data:`PERIOD_CACHE_LIMIT` of them.
+        """
+        if self._period is None:
+            self._period = self._cycle_length()
+        return self._period
+
+    def _cacheable_period(self) -> Optional[int]:
+        if self._period is None and not self._long_cycle:
+            self._period = self._cycle_length(limit=PERIOD_CACHE_LIMIT)
+            self._long_cycle = self._period is None
+        if self._period is None or self._period > PERIOD_CACHE_LIMIT:
+            return None
+        return self._period
+
+    def _cycle_length(self, limit: Optional[int] = None) -> Optional[int]:
+        """Steps until the seed comes back, or ``None`` past ``limit``."""
+        steps, state = 1, self._step(self._seed)
+        while state != self._seed:
+            if limit is not None and steps >= limit:
+                return None
+            steps, state = steps + 1, self._step(state)
+        return steps
 
     def _step(self, state: int) -> int:
         feedback = 0

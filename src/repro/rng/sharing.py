@@ -40,9 +40,10 @@ class RotatedView(StreamRNG):
         super().__init__(modulus=parent.modulus)
         self._parent = parent
         self._phase = check_non_negative_int(phase, name="phase")
-        self._period = check_positive_int(
-            period if period is not None else getattr(parent, "period", parent.modulus),
-            name="period",
+        # The parent's period is read on first use: learning it can walk
+        # a whole cycle (an LFSR with custom taps).
+        self._period = (
+            None if period is None else check_positive_int(period, name="period")
         )
 
     @property
@@ -60,12 +61,17 @@ class RotatedView(StreamRNG):
     @property
     def period(self) -> int:
         """The parent's period (views only change the starting offset)."""
+        if self._period is None:
+            self._period = check_positive_int(
+                getattr(self._parent, "period", self._parent.modulus), name="period"
+            )
         return self._period
 
     def _generate(self, length: int) -> np.ndarray:
         # One parent period suffices: index modulo the period.
-        base = self._parent.sequence(self._period)
-        idx = (np.arange(length, dtype=np.int64) + self._phase) % self._period
+        period = self.period
+        base = self._parent.sequence(period)
+        idx = (np.arange(length, dtype=np.int64) + self._phase) % period
         return base[idx]
 
 

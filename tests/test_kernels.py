@@ -7,6 +7,8 @@ lengths, batch sizes, and every stepper strategy — and compilation is a
 deterministic pure function of the circuit's constructor parameters.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from repro.core import (
     TFMPair,
     TrackingForecastMemory,
 )
+from repro.kernels import dispatch, steppers
 from repro.kernels.steppers import _composed_table, chunked_outputs, compose_chunk
 from repro.rng import LFSR
 
@@ -47,6 +50,51 @@ def _restore_dispatch():
     kernels.set_strategy("auto")
 
 
+def _scan_trajectory(fsm, symbols):
+    """States entering each steady step from ``fsm.initial_state``, and
+    the final state, by log-doubling prefix composition of the per-step
+    maps: the scan stepper the product path used to pick for small
+    batches, kept as an oracle for the chunked stepper."""
+    next_state = fsm.steady.next_state
+    batch, length = symbols.shape
+    states = np.empty((batch, length), dtype=next_state.dtype)
+    init = fsm.initial_state
+    if length == 0 or batch == 0:
+        return states, np.full(batch, init, dtype=next_state.dtype)
+    # g[b, t, s] = state after step t if the state before step 0 was s;
+    # initialised to the per-step maps, then prefix-composed by doubling.
+    g = next_state[symbols]                       # (batch, length, n_states)
+    d = 1
+    while d < length:
+        g[:, d:, :] = np.take_along_axis(g[:, d:, :], g[:, :-d, :], axis=2)
+        d *= 2
+    states[:, 0] = init
+    states[:, 1:] = g[:, :-1, init]
+    return states, g[:, -1, init].astype(next_state.dtype, copy=False)
+
+
+def _scan_outputs(circuit, x, y):
+    """A pair circuit's ``(out_x, out_y)`` through the scan oracle: the
+    steady trajectory by :func:`_scan_trajectory`, then the flush tail
+    one cycle at a time."""
+    fsm = kernels.compile_transform(circuit)
+    length = x.shape[1]
+    steady_len = length - min(len(fsm.tails), length)
+    head = (x[:, :steady_len] << np.uint8(1)) | y[:, :steady_len]
+    states, state = _scan_trajectory(fsm, head)
+    out_x = np.empty(x.shape, dtype=np.uint8)
+    out_y = np.empty(x.shape, dtype=np.uint8)
+    out_x[:, :steady_len] = fsm.steady.out_x[head, states]
+    out_y[:, :steady_len] = fsm.steady.out_y[head, states]
+    for t in range(steady_len, length):
+        table = fsm.tails[length - t - 1]
+        sym = (x[:, t] << np.uint8(1)) | y[:, t]
+        out_x[:, t] = table.out_x[sym, state]
+        out_y[:, t] = table.out_y[sym, state]
+        state = table.next_state[sym, state]
+    return out_x, out_y
+
+
 # ---------------------------------------------------------------------- #
 # Pair transforms: full (depth, flush, length, batch, strategy) grid
 # ---------------------------------------------------------------------- #
@@ -63,7 +111,10 @@ class TestPairEquivalence:
                 x = _bits(rng, batch, length)
                 y = _bits(rng, batch, length)
                 ref = circuit._reference_process_bits(x, y)
-                for strategy in ("chunked", "scan", "step", "auto"):
+                scan = _scan_outputs(circuit, x, y)
+                assert np.array_equal(ref[0], scan[0])
+                assert np.array_equal(ref[1], scan[1])
+                for strategy in ("auto", "step"):
                     kernels.set_strategy(strategy)
                     got = circuit._process_bits(x, y)
                     assert np.array_equal(ref[0], got[0]), (
@@ -325,16 +376,34 @@ class TestSteppers:
         rng = np.random.default_rng(31)
         fsm = kernels.compile_transform(Synchronizer(4))
         symbols = rng.integers(0, 4, (13, 301)).astype(np.uint8)
-        baseline = kernels.state_trajectory(fsm, symbols, strategy="step")
-        for strategy in ("chunked", "scan", "auto"):
+        baseline = _scan_trajectory(fsm, symbols)
+        for strategy in ("auto", "step"):
             states, final = kernels.state_trajectory(fsm, symbols, strategy=strategy)
             assert np.array_equal(states, baseline[0]), strategy
             assert np.array_equal(final, baseline[1]), strategy
 
-    def test_strategy_choice_scales_with_shape(self):
-        # Big batch -> chunked; tiny batch + long stream -> scan.
-        assert kernels.choose_strategy(1024, 1024, 9, 4) == "chunked"
-        assert kernels.choose_strategy(1, 1 << 16, 9, 4) == "scan"
+    def test_auto_strategy_is_chunked(self):
+        # One row over 2^16 cycles: the shape the dropped cost model
+        # sent to the scan stepper.
+        rng = np.random.default_rng(32)
+        sync = Synchronizer(4)
+        fsm = kernels.compile_transform(sync)
+        symbols = rng.integers(0, 4, (1, 1 << 16)).astype(np.uint8)
+        with mock.patch.object(
+            steppers, "_chunked_trajectory", wraps=steppers._chunked_trajectory
+        ) as spy:
+            kernels.state_trajectory(fsm, symbols)
+        assert spy.call_count == 1
+        x, y = _bits(rng, 1, 1 << 16), _bits(rng, 1, 1 << 16)
+        with mock.patch.object(
+            dispatch, "chunked_outputs", wraps=dispatch.chunked_outputs
+        ) as spy:
+            sync._process_bits(x, y)
+        assert spy.call_count == 1
+        assert kernels.STRATEGIES == ("auto", "step")
+        for gone in ("scan", "chunked"):
+            with pytest.raises(ValueError):
+                kernels.set_strategy(gone)
 
     def test_chunk_size_respects_table_cap(self):
         # 4 symbols, 9 states -> 4^k * 9 <= 2^20 caps k at 8.
@@ -349,7 +418,8 @@ class TestSteppers:
         ref = sync._reference_process_bits(empty, empty)
         got = sync._process_bits(empty, empty)
         assert got[0].shape == ref[0].shape == (0, 64)
-        for strategy in ("chunked", "scan", "step"):
+        assert _scan_outputs(sync, empty, empty)[0].shape == (0, 64)
+        for strategy in ("auto", "step"):
             kernels.set_strategy(strategy)
             assert sync._process_bits(empty, empty)[0].shape == (0, 64)
 
@@ -407,6 +477,20 @@ WALK_CIRCUITS = [
 ] + [CAAdder(), CAMax(counter_bits=1), CAMax(counter_bits=2), CAMax(counter_bits=4)]
 
 
+def _stepped_outputs(fsm, x, y, state):
+    """``chunked_outputs`` one cycle at a time over the steady table."""
+    two = fsm.steady.out_y is not None
+    out_x = np.empty(x.shape, dtype=np.uint8)
+    out_y = np.empty(x.shape, dtype=np.uint8) if two else None
+    for t in range(x.shape[1]):
+        sym = (x[:, t] << np.uint8(1)) | y[:, t]
+        out_x[:, t] = fsm.steady.out_x[sym, state]
+        if two:
+            out_y[:, t] = fsm.steady.out_y[sym, state]
+        state = fsm.steady.next_state[sym, state]
+    return out_x, out_y, state
+
+
 def _walk_case():
     """(circuit index, length, seed, row): the batch-of-3 inputs, entry
     states and maps are drawn from the seed, and ``row`` is the one run
@@ -435,24 +519,51 @@ class TestSingleRowWalks:
                 assert got.dtype == want.dtype, (k, fused)
                 assert np.array_equal(got, want), (k, fused)
 
-    @given(case=_walk_case())
+    @given(index=st.integers(0, len(WALK_CIRCUITS) - 1),
+           batch=st.integers(1, steppers._ROW_WALK_BATCH + 1),
+           length=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=120, deadline=None)
-    def test_chunked_outputs_row_equals_batched_take(self, case):
-        index, length, seed, row = case
+    def test_chunked_outputs_row_equals_batched_take(self, index, batch, length, seed):
+        # Batches on both sides of the row-walk limit, each row entering
+        # in its own state: the row walks, the batched take loop and
+        # per-cycle stepping agree.
         fsm = kernels.compile_transform(WALK_CIRCUITS[index])
         rng = np.random.default_rng(seed)
-        x, y = _bits(rng, 3, length), _bits(rng, 3, length)
-        dtype = fsm.steady.next_state.dtype
-        state = rng.integers(0, fsm.n_states, 3).astype(dtype)
-        batched = chunked_outputs(fsm, x, y, state.copy())
-        single = chunked_outputs(
-            fsm, x[row:row + 1], y[row:row + 1], state[row:row + 1].copy()
-        )
-        for got, want in zip(single, batched):
-            assert (got is None) == (want is None)
+        x, y = _bits(rng, batch, length), _bits(rng, batch, length)
+        state = rng.integers(0, fsm.n_states, batch).astype(fsm.steady.next_state.dtype)
+        entry = state.copy()
+        walked = chunked_outputs(fsm, x, y, state)
+        with mock.patch.object(steppers, "_ROW_WALK_BATCH", 0):
+            taken = chunked_outputs(fsm, x, y, state)
+        assert np.array_equal(state, entry)
+        stepped = _stepped_outputs(fsm, x, y, state)
+        for got, want, ref in zip(walked, taken, stepped):
+            assert (got is None) == (want is None) == (ref is None)
             if want is not None:
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want[row:row + 1])
+                assert got.dtype == want.dtype == ref.dtype
+                assert np.array_equal(got, want)
+                assert np.array_equal(got, ref)
+
+    @given(tfm=st.booleans(),
+           batch=st.integers(1, steppers._ROW_WALK_BATCH + 1),
+           length=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_state_trajectory_rows_equal_batched_take(self, tfm, batch, length, seed):
+        circuit = TrackingForecastMemory(LFSR(8, seed=7)) if tfm else Synchronizer(4)
+        fsm = kernels.compile_transform(circuit)
+        rng = np.random.default_rng(seed)
+        symbols = rng.integers(0, fsm.n_symbols, (batch, length)).astype(np.uint8)
+        initial = rng.integers(0, fsm.n_states, batch).astype(fsm.steady.next_state.dtype)
+        walked = kernels.state_trajectory(fsm, symbols, initial=initial)
+        with mock.patch.object(steppers, "_ROW_WALK_BATCH", 0):
+            taken = kernels.state_trajectory(fsm, symbols, initial=initial)
+        stepped = kernels.state_trajectory(
+            fsm, symbols, strategy="step", initial=initial
+        )
+        for got, want, ref in zip(walked, taken, stepped):
+            assert got.dtype == want.dtype == ref.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, ref)
 
     @given(case=_walk_case(), remaining_after=st.integers(0, 6))
     @settings(max_examples=120, deadline=None)
@@ -464,7 +575,10 @@ class TestSingleRowWalks:
         rng = np.random.default_rng(seed)
         x, y = _bits(rng, 3, length), _bits(rng, 3, length)
         state = rng.integers(0, fsm.n_states, 3).astype(np.int16)
-        batched = kernels.step_chunk(fsm, state, x, y, remaining_after=remaining_after)
+        with mock.patch.object(steppers, "_ROW_WALK_BATCH", 0):
+            batched = kernels.step_chunk(
+                fsm, state, x, y, remaining_after=remaining_after
+            )
         single = kernels.step_chunk(
             fsm, state[row:row + 1], x[row:row + 1], y[row:row + 1],
             remaining_after=remaining_after,

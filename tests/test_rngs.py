@@ -1,5 +1,7 @@
 """Unit tests for the RNG zoo (repro.rng)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from repro.rng import (
     MAXIMAL_TAPS,
     CounterRNG,
     Halton,
+    RotatedView,
     Sobol,
     SystemRNG,
     VanDerCorput,
@@ -19,6 +22,7 @@ from repro.rng import (
     make_rng,
     radical_inverse,
 )
+from repro.rng.base import PERIOD_CACHE_LIMIT
 from repro.rng.vandercorput import _reverse_bits
 
 
@@ -93,6 +97,55 @@ class TestLFSR:
     def test_custom_taps(self):
         lfsr = LFSR(width=3, taps=(3, 2))
         assert lfsr.sequence(7).size == 7
+
+    def test_custom_taps_period_is_the_seed_cycle(self):
+        # x^4 + x^2 + 1 is not primitive: seed 1's orbit has 6 states,
+        # not 15, and every period-served path must agree with stepping.
+        lfsr = LFSR(width=4, taps=(4, 2), phase=3)
+        stepped = lfsr._generate(40)
+        assert lfsr.period == 6
+        assert np.array_equal(lfsr.sequence(40), stepped)
+        assert np.array_equal(lfsr.sequence_window(20, 40), stepped[20:40])
+        idx = np.array([0, 5, 6, 17, 39])
+        assert np.array_equal(lfsr.sequence_at(idx), stepped[idx])
+
+    def test_long_custom_cycle_is_not_walked_by_sequence_reads(self):
+        # x^32 + x^22 + x^2 + x + 1 is primitive: a 2^32 - 1 cycle. Reads
+        # stop looking for it past the period cache limit, once, and then
+        # step only what they return; a view walks nothing until used.
+        lfsr = LFSR(width=32, taps=(32, 22, 2, 1), seed=5)
+        with mock.patch.object(lfsr, "_step", wraps=lfsr._step) as spy:
+            RotatedView(lfsr, 3)
+            assert spy.call_count == 0
+            head = lfsr.sequence(10)
+            assert spy.call_count <= PERIOD_CACHE_LIMIT + 10
+            window = lfsr.sequence_window(5, 10)
+            at = lfsr.sequence_at(np.array([0, 7]))
+            again = lfsr.sequence(10)
+            assert spy.call_count <= PERIOD_CACHE_LIMIT + 40
+        stepped = lfsr._generate(10)
+        assert np.array_equal(head, stepped)
+        assert np.array_equal(window, stepped[5:])
+        assert np.array_equal(at, stepped[[0, 7]])
+        assert np.array_equal(again, stepped)
+
+    def test_builtin_taps_in_any_order_keep_the_maximal_period(self):
+        assert LFSR(width=8, taps=(4, 5, 6, 8)).period == 255
+
+    @given(width=st.integers(2, 8), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_custom_taps_match_stepped_generate(self, width, data):
+        taps = data.draw(st.sets(st.integers(1, width - 1))) | {width}
+        seed = data.draw(st.integers(1, (1 << width) - 1))
+        phase = data.draw(st.integers(0, 300))
+        start = data.draw(st.integers(0, 600))
+        stop = start + data.draw(st.integers(1, 300))
+        lfsr = LFSR(width, seed=seed, taps=tuple(taps), phase=phase)
+        stepped = lfsr._generate(stop)
+        assert np.array_equal(lfsr.sequence(stop), stepped)
+        assert np.array_equal(lfsr.sequence_window(start, stop), stepped[start:])
+        idx = data.draw(_indices(stop - 1))
+        assert np.array_equal(lfsr.sequence_at(idx), stepped[idx])
 
     def test_taps_must_include_width(self):
         with pytest.raises(RNGConfigurationError):
@@ -335,6 +388,74 @@ class TestStreamRNGBase:
         rng.reset()
         again = [rng.next_value() for _ in range(5)]
         assert first == again
+
+
+# Generators whose ``sequence()`` is checked against their own
+# ``_generate`` below: every built-in type, periodic ones with and
+# without a phase.
+SEQUENCE_GENERATORS = {
+    "lfsr": lambda: LFSR(width=6),
+    "lfsr-phase": lambda: LFSR(width=6, seed=9, phase=40),
+    "lfsr-custom-taps": lambda: LFSR(width=4, taps=(4, 2), seed=3, phase=2),
+    "vdc": lambda: VanDerCorput(width=6),
+    "vdc-phase": lambda: VanDerCorput(width=6, phase=5),
+    "counter": lambda: CounterRNG(width=6, offset=9),
+    "sobol": lambda: Sobol(dimension=0, width=6),
+    "sobol-phase": lambda: Sobol(dimension=3, width=6, phase=11),
+    "halton": lambda: Halton(base=3, width=6),
+    "system": lambda: SystemRNG(width=6, seed=4),
+    "rotated-lfsr": lambda: RotatedView(LFSR(width=6), 7),
+    "rotated-halton": lambda: RotatedView(Halton(base=5, width=6), 3),
+}
+
+
+def _make_sequence_rng(kind, width, phase):
+    if kind == "lfsr":
+        return LFSR(width=width, phase=phase)
+    if kind == "lfsr-custom-taps":
+        return LFSR(width=width, taps=(width, max(1, width // 2)), phase=phase)
+    if kind == "vdc":
+        return VanDerCorput(width=width, phase=phase)
+    if kind == "counter":
+        return CounterRNG(width=width, offset=phase)
+    if kind == "sobol":
+        return Sobol(dimension=phase % (Sobol.MAX_DIMENSION + 1), width=width, phase=phase)
+    if kind == "halton":
+        return Halton(base=3, width=width, phase=phase)
+    if kind == "system":
+        return SystemRNG(width=width, seed=phase)
+    return RotatedView(LFSR(width=width), phase)
+
+
+def _assert_sequence_contract(rng, length):
+    """``sequence(length)`` equals ``_generate(length)`` (the oracle) and
+    is a fresh, writable int64 array: writing into it changes nothing
+    the next call returns."""
+    want = rng._generate(length)
+    got = rng.sequence(length)
+    assert got.dtype == np.int64
+    assert got.flags.writeable
+    assert np.array_equal(got, want)
+    got[:] = -1
+    assert np.array_equal(rng.sequence(length), want)
+
+
+class TestSequenceContract:
+    @pytest.mark.parametrize("make", SEQUENCE_GENERATORS.values(),
+                             ids=SEQUENCE_GENERATORS.keys())
+    def test_sequence_equals_generate_around_the_period(self, make):
+        rng = make()
+        period = getattr(rng, "period", 64)
+        for length in (1, period - 1, period, period + 1, 2 * period, 3 * period + 5):
+            _assert_sequence_contract(rng, length)
+
+    @given(kind=st.sampled_from(["lfsr", "lfsr-custom-taps", "vdc", "counter",
+                                 "sobol", "halton", "system", "rotated"]),
+           width=st.integers(2, 9), phase=st.integers(0, 600),
+           length=st.integers(1, 1200))
+    @settings(max_examples=150, deadline=None)
+    def test_sequence_equals_generate(self, kind, width, phase, length):
+        _assert_sequence_contract(_make_sequence_rng(kind, width, phase), length)
 
 
 class TestFactory:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._validation import (
     as_bit_array,
@@ -59,6 +61,47 @@ class TestBitArrayCoercion:
     def test_matrix_rejects_3d(self):
         with pytest.raises(EncodingError):
             as_bit_matrix(np.zeros((2, 2, 2), dtype=np.uint8))
+
+
+# The values the dtype-aware bit check must sort the same way as the
+# unique/isin expression it replaced.
+BIT_CHECK_VALUES = (0, 1, 2, -1, 255, 0.5, -0.0, float("nan"))
+BIT_CHECK_DTYPES = (np.bool_, np.uint8, np.uint16, np.int8, np.int64, np.float64)
+
+
+def _representable(value, dtype):
+    if dtype.kind == "f":
+        return True
+    if np.isnan(value) or not float(value).is_integer():
+        return False
+    if dtype.kind == "b":
+        return value in (0, 1)
+    info = np.iinfo(dtype)
+    return info.min <= value <= info.max
+
+
+class TestBitCheckAgainstUniqueIsin:
+    @given(dtype=st.sampled_from(BIT_CHECK_DTYPES), matrix=st.booleans(),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_unique_isin(self, dtype, matrix, data):
+        dtype = np.dtype(dtype)
+        allowed = [v for v in BIT_CHECK_VALUES if _representable(v, dtype)]
+        values = data.draw(st.lists(st.sampled_from(allowed), max_size=12))
+        arr = np.array(values, dtype=np.float64).astype(dtype)
+        if matrix:
+            arr = arr.reshape(1, -1)
+        coerced = arr.astype(np.uint8) if dtype == bool else arr
+        valid = not coerced.size or np.isin(np.unique(coerced), (0, 1)).all()
+        if valid:
+            out = as_bit_array(arr, name="x")
+            assert out.dtype == np.uint8
+            assert np.array_equal(out, coerced)
+        else:
+            with pytest.raises(
+                EncodingError, match=r"^x: bit arrays may only contain 0 and 1$"
+            ):
+                as_bit_array(arr, name="x")
 
 
 class TestScalarChecks:
