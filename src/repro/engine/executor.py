@@ -56,6 +56,7 @@ from ..graph.graph import AuditEntry, GraphAudit
 from ..graph.nodes import OP_LIBRARY
 from ..obs import counter_add
 from ..rng import make_rng
+from ..rng.factory import _builder_kwargs
 from .plan import ExecutionPlan
 
 __all__ = [
@@ -111,7 +112,10 @@ if hasattr(os, "register_at_fork"):  # not on Windows (spawn starts clean)
 
 def _rng_sequence(spec: str, kwargs: Tuple[Tuple[str, object], ...], length: int) -> np.ndarray:
     global _seq_cache_nbytes
-    key = (spec, kwargs, length)
+    # Keyed on what the factory builds from, which folds in the ambient
+    # seed: a long-lived process sees calls under different seeds.
+    args = _builder_kwargs(spec, **dict(kwargs))
+    key = (spec, tuple(args.items()), length)
     with _SEQ_LOCK:
         seq = _SEQ_CACHE.get(key)
         if seq is not None:
@@ -123,7 +127,7 @@ def _rng_sequence(spec: str, kwargs: Tuple[Tuple[str, object], ...], length: int
     # Generation runs outside the lock (it can be slow); a racing thread
     # may generate the same sequence twice, but both results are
     # identical, so the first stored copy wins.
-    seq = make_rng(spec, **dict(kwargs)).sequence(length)
+    seq = make_rng(spec, **args).sequence(length)
     evicted = 0
     with _SEQ_LOCK:
         if key not in _SEQ_CACHE and seq.nbytes <= _SEQ_CACHE_BYTES:

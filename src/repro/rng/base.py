@@ -35,11 +35,12 @@ derived :meth:`StreamRNG.integers_window` / :meth:`StreamRNG.sequence_at`)
 provide exactly that, with three resolution strategies, best first:
 
 1. a subclass :meth:`StreamRNG._generate_window` override computing the
-   window directly (Halton's radical inverse is index-addressable);
+   window directly (Halton's radical inverse and wide VDC's bit reversal
+   are index-addressable; a rotated view shifts its parent's window);
 2. a finite ``period`` property no larger than
    :data:`PERIOD_CACHE_LIMIT`: one period is generated once, cached on
    the instance, and indexed modulo the period (VDC, LFSR, counter,
-   Sobol, rotated views);
+   Sobol);
 3. the always-correct fallback ``_generate(stop)[start:]`` — O(stop)
    memory, used only by generators that are neither windowable nor
    periodic (the PCG-backed :class:`~repro.rng.system.SystemRNG`).

@@ -103,6 +103,30 @@ def default_seed(seed: Optional[int]):
         _DEFAULT_SEED = previous
 
 
+def _builder_kwargs(spec: str, *, width: int = 8, **kwargs) -> Dict[str, object]:
+    """The arguments ``make_rng(spec, width=width, **kwargs)`` hands its
+    builder right now: ``width``, the given ``kwargs``, and, for a
+    seedable spec with no explicit ``seed``, the ambient
+    :func:`default_seed` folded through the spec's ``seed_map``.
+
+    Equal arguments build equal generators, so a memo of generated
+    sequences keys on these rather than on the spec's own kwargs, which
+    do not change with the ambient seed.
+
+    Raises:
+        RNGConfigurationError: for unknown specs.
+    """
+    key = spec.lower()
+    if key not in _BUILDERS:
+        raise RNGConfigurationError(
+            f"unknown RNG spec {spec!r}; available: {', '.join(available_rngs())}"
+        )
+    if _SEEDABLE[key] and "seed" not in kwargs and _DEFAULT_SEED is not None:
+        kwargs["seed"] = _SEED_MAPS[key](_DEFAULT_SEED, width)
+    kwargs["width"] = width
+    return kwargs
+
+
 def make_rng(spec: str, *, width: int = 8, **kwargs) -> StreamRNG:
     """Instantiate an RNG from a spec name.
 
@@ -118,14 +142,8 @@ def make_rng(spec: str, *, width: int = 8, **kwargs) -> StreamRNG:
     Raises:
         RNGConfigurationError: for unknown specs.
     """
-    key = spec.lower()
-    if key not in _BUILDERS:
-        raise RNGConfigurationError(
-            f"unknown RNG spec {spec!r}; available: {', '.join(available_rngs())}"
-        )
-    if _SEEDABLE[key] and "seed" not in kwargs and _DEFAULT_SEED is not None:
-        kwargs["seed"] = _SEED_MAPS[key](_DEFAULT_SEED, width)
-    return _BUILDERS[key](width=width, **kwargs)
+    kwargs = _builder_kwargs(spec, width=width, **kwargs)
+    return _BUILDERS[spec.lower()](**kwargs)
 
 
 register_rng(

@@ -10,6 +10,13 @@ configurations (VDC base 2 against Halton base 3).
 Values are quantised to ``width``-bit integers (``floor(frac * 2**width)``)
 so the generator is drop-in compatible with the comparator-based D/S
 converter.
+
+Arbitrary indices go through :func:`radical_inverse`, one ``divmod``
+pass per digit. Contiguous windows (``sequence``, ``sequence_window``,
+and so every streamed tile) are built in blocks of consecutive indices
+that share all digits above a per-base lookup table, so those digits'
+weights cost one scalar each per block; the float sums are the same, in
+the same order, so both routes give the same bits.
 """
 
 from __future__ import annotations
@@ -86,6 +93,32 @@ def radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
     return result
 
 
+def _radical_inverse_range(start: int, stop: int, base: int) -> np.ndarray:
+    """``radical_inverse(np.arange(start, stop), base)``, bit for bit,
+    built one block of ``span`` consecutive indices at a time.
+
+    Within a block every digit above the table's is constant, so its
+    weight is computed once per block and added to the whole block:
+    the same float64 sums in the same order as :func:`radical_inverse`,
+    which adds a zero digit's exact ``0.0`` where this skips it.
+    """
+    table, span, scale = _low_digits(base)
+    result = np.empty(stop - start, dtype=np.float64)
+    block, low = divmod(start, span)
+    pos = 0
+    while pos < result.size:
+        part = result[pos : pos + span - low]
+        part[...] = table[low : low + part.size]
+        high, weight = block, scale
+        while high:
+            high, digit = divmod(high, base)
+            if digit:
+                part += digit * weight
+            weight /= base
+        pos, block, low = pos + part.size, block + 1, 0
+    return result
+
+
 class Halton(StreamRNG):
     """Base-``b`` Halton sequence quantised to ``width``-bit integers.
 
@@ -129,10 +162,9 @@ class Halton(StreamRNG):
         # The radical inverse is index-addressable, so a window costs
         # O(stop - start) regardless of where it starts — the aperiodic
         # generator the tile-streaming sources still window for free.
-        return self._quantise(radical_inverse(
-            np.arange(start + self._phase, stop + self._phase, dtype=np.int64),
-            self._base,
-        ))
+        return self._quantise(
+            _radical_inverse_range(start + self._phase, stop + self._phase, self._base)
+        )
 
     def _generate_at(self, indices: np.ndarray) -> np.ndarray:
         return self._quantise(radical_inverse(indices + self._phase, self._base))
@@ -140,8 +172,11 @@ class Halton(StreamRNG):
     def _quantise(self, fracs: np.ndarray) -> np.ndarray:
         """``floor(frac * 2**width)``, clamped to ``2**width - 1`` (a float
         sum may round up to 1.0). Cast through uint64 so that the rounded
-        ``2**63`` of a 63-bit register clamps instead of overflowing."""
+        ``2**63`` of a 63-bit register clamps instead of overflowing. The
+        cast runs in place, over ``fracs``'s own buffer: a second
+        window-sized allocation costs more than the arithmetic."""
         fracs *= self.modulus
-        values = fracs.astype(np.uint64)
+        values = fracs.view(np.uint64)
+        np.copyto(values, fracs, casting="unsafe")
         np.minimum(values, np.uint64(self.modulus - 1), out=values)
         return values.view(np.int64)

@@ -32,16 +32,18 @@ class RotatedView(StreamRNG):
     """A phase-shifted view of another generator's sequence.
 
     The view shares the parent's period and value set; only the starting
-    offset differs. Views of one parent model rotated taps on one physical
-    register chain.
+    offset differs: value ``i`` is the parent's value ``i + phase``. Views
+    of one parent model rotated taps on one physical register chain. A
+    view of an aperiodic parent has no period, like its parent; an
+    explicit ``period`` only sets what :attr:`period` reports.
     """
 
     def __init__(self, parent: StreamRNG, phase: int, *, period: Optional[int] = None) -> None:
         super().__init__(modulus=parent.modulus)
         self._parent = parent
         self._phase = check_non_negative_int(phase, name="phase")
-        # The parent's period is read on first use: learning it can walk
-        # a whole cycle (an LFSR with custom taps).
+        # The parent's period is read on use, not here: learning it can
+        # walk a whole cycle (an LFSR with custom taps).
         self._period = (
             None if period is None else check_positive_int(period, name="period")
         )
@@ -60,19 +62,22 @@ class RotatedView(StreamRNG):
 
     @property
     def period(self) -> int:
-        """The parent's period (views only change the starting offset)."""
-        if self._period is None:
-            self._period = check_positive_int(
-                getattr(self._parent, "period", self._parent.modulus), name="period"
-            )
-        return self._period
+        """The explicit ``period``, else the parent's (views only change
+        the starting offset). Raises ``AttributeError`` when neither
+        exists, as reading an aperiodic parent's period does."""
+        if self._period is not None:
+            return self._period
+        return self._parent.period
+
+    def _cacheable_period(self) -> Optional[int]:
+        return self._parent._cacheable_period()
 
     def _generate(self, length: int) -> np.ndarray:
-        # One parent period suffices: index modulo the period.
-        period = self.period
-        base = self._parent.sequence(period)
-        idx = (np.arange(length, dtype=np.int64) + self._phase) % period
-        return base[idx]
+        # A copy: a parent window may be its read-only period memo.
+        return self._generate_window(0, length).copy()
+
+    def _generate_window(self, start: int, stop: int) -> np.ndarray:
+        return self._parent.sequence_window(start + self._phase, stop + self._phase)
 
 
 class RNGBank:
@@ -81,8 +86,8 @@ class RNGBank:
     Args:
         parent: the one physical generator.
         stride: phase distance between consecutive taps. Choose a value
-            coprime with the parent period so taps never collide; the
-            constructor enforces this.
+            coprime with the parent period (its modulus, for an aperiodic
+            parent) so taps never collide; the constructor enforces this.
     """
 
     def __init__(self, parent: StreamRNG, stride: int = 37) -> None:
@@ -107,10 +112,7 @@ class RNGBank:
 
     def take(self) -> RotatedView:
         """Issue the next rotated view."""
-        view = RotatedView(
-            self._parent, (self._issued * self._stride) % self._period,
-            period=self._period,
-        )
+        view = RotatedView(self._parent, (self._issued * self._stride) % self._period)
         self._issued += 1
         return view
 

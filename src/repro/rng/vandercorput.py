@@ -10,6 +10,11 @@ bits are short.
 Over one period of ``2**width`` cycles every residue appears exactly once,
 so a VDC-driven D/S converter is *exact*: an input ``x`` yields a stream
 with exactly ``x`` ones.
+
+Arbitrary indices are reversed one byte lane per pass. Contiguous ranges
+(``sequence``, and the windows of registers too wide for the period
+cache) reverse only the bits above the low byte, once per run of 256
+consecutive indices, and OR in a reversed-byte row.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ def _reverse_bits(values: np.ndarray, width: int) -> np.ndarray:
     One byte lane per pass through a 256-entry reversal table: bit ``j``
     of the lane at bit ``low`` lands on bit ``width - 1 - low - j``, so
     the reversed lane shifts left by ``width - 8 - low`` (right, for a
-    top lane narrower than a byte).
+    top lane narrower than a byte). Bits at and above ``width`` fall out
+    of that shift or are never read, so values need not be reduced.
     """
     result = np.zeros_like(values)
     lane = np.empty_like(values)
@@ -88,17 +94,17 @@ class VanDerCorput(StreamRNG):
         return self.modulus
 
     def _generate(self, length: int) -> np.ndarray:
-        return self._values(np.arange(length, dtype=np.int64))
+        return self._range(0, length)
 
     def _generate_window(self, start: int, stop: int):
         # Bit reversal is index-addressable, so windows cost O(window)
         # at any width — wide-register VDC sources stay streamable even
         # when the period is too large for the period cache. Narrow
         # registers decline (return None): tiling the cached period is
-        # cheaper than the byte-table passes over the window.
+        # cheaper than building the window.
         if self.period <= PERIOD_CACHE_LIMIT:
             return None
-        return self._generate_at(np.arange(start, stop, dtype=np.int64))
+        return self._range(start, stop)
 
     def _generate_at(self, indices: np.ndarray):
         if self.period <= PERIOD_CACHE_LIMIT:
@@ -110,3 +116,20 @@ class VanDerCorput(StreamRNG):
         index = indices + self._phase
         index &= self.modulus - 1
         return _reverse_bits(index, self._width)
+
+    def _range(self, start: int, stop: int) -> np.ndarray:
+        """Values at the consecutive indices ``[start, stop)``.
+
+        Consecutive reduced indices that share their bits above the low
+        byte form a run: those bits reversed, once per run, OR'd with a
+        row of reversed low bytes. The reversal drops bits past the
+        width, so one ``(runs, 256)`` broadcast also spans modulus wraps.
+        """
+        lane = min(8, self._width)
+        high_width = self._width - lane
+        low = (_REVERSED_BYTE[: 1 << lane] >> (8 - lane)) << high_width
+        index = (start + self._phase) & (self.modulus - 1)
+        first, last = index >> lane, (index + stop - start - 1) >> lane
+        high = _reverse_bits(np.arange(first, last + 1, dtype=np.int64), high_width)
+        offset = index - (first << lane)
+        return (high[:, None] | low).reshape(-1)[offset : offset + stop - start]

@@ -30,11 +30,14 @@ The ``result`` object is the *deterministic payload* — byte-identical
 any batch, load-shed into the streaming backend, or answered from the
 result store. ``meta`` carries the routing facts that legitimately vary.
 
-The protocol deliberately has **no per-request seed**: the engine's
-source RNGs are deterministic sequence generators (VDC/Halton/LFSR), so
-every response is reproducible by construction, and the serving layer
-stays inside the process-wide default-seed universe that the engine's
-sequence caches are keyed for.
+Graph requests deliberately carry **no seed**: the engine's source RNGs
+are deterministic sequence generators (VDC/Halton/LFSR), so every
+response is reproducible by construction under the server process's
+ambient :func:`~repro.rng.factory.default_seed`. A ``spec`` request's
+``seed`` installs that ambient seed only around its own shards. The
+engine's sequence memo keys on the arguments the RNG factory builds
+from, ambient seed folded in, so a sequence generated under one seed is
+never served under another.
 """
 
 from __future__ import annotations

@@ -301,7 +301,8 @@ class TestSequenceMemo:
         small = ex._rng_sequence("vdc", (), 64)
         big = ex._rng_sequence("vdc", (), 4096)
         assert np.array_equal(big[:64], small)
-        assert list(ex._SEQ_CACHE) == [("vdc", (), 64)]
+        # Keyed on the factory's builder arguments (width defaulted in).
+        assert list(ex._SEQ_CACHE) == [("vdc", (("width", 8),), 64)]
         assert ex._seq_cache_nbytes == small.nbytes
 
     def test_byte_total_survives_thread_hammer(self, monkeypatch):
@@ -336,6 +337,38 @@ class TestSequenceMemo:
         assert not errors
         held = sum(a.nbytes for a in ex._SEQ_CACHE.values())
         assert held == ex._seq_cache_nbytes <= ex._SEQ_CACHE_BYTES
+
+    def test_memo_follows_the_ambient_seed(self):
+        # An unseeded "lfsr" source takes the ambient seed when it is
+        # built, so a sequence memoised under seed 1 must not serve a
+        # later call under seed 2 (a warm pool worker sees both).
+        from repro.engine import executor as ex
+        from repro.rng import default_seed
+
+        def graph():
+            g = SCGraph()
+            g.source("a", 0.5, "lfsr")
+            g.source("b", 0.3, "vdc")
+            g.op("m", "mul", "a", "b")
+            return g
+
+        plan = engine.compile(graph())
+        with default_seed(2):
+            bits = graph().run(256, backend="interpreter")
+            audit = graph().audit(256, backend="interpreter")
+        for call in (ex.run, ex.run_batch, ex.audit):
+            engine.clear_sequence_cache()
+            with default_seed(1):
+                call(plan, 256)
+            with default_seed(2):
+                got = call(plan, 256)
+            if call is ex.audit:
+                assert got.entries == audit.entries
+                assert got.values == audit.values
+            else:
+                for name in bits:
+                    row = got[name] if call is ex.run else got.bits(name)[0]
+                    assert np.array_equal(row, bits[name]), (call.__name__, name)
 
     def test_hits_refresh_recency(self, monkeypatch):
         from repro.engine import executor as ex

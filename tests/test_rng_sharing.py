@@ -5,7 +5,7 @@ import pytest
 
 from repro.bitstream import scc
 from repro.exceptions import RNGConfigurationError
-from repro.rng import LFSR, VanDerCorput
+from repro.rng import LFSR, Halton, SystemRNG, VanDerCorput
 from repro.rng.sharing import RNGBank, RotatedView
 
 
@@ -25,6 +25,22 @@ class TestRotatedView:
         view = RotatedView(parent, 3)
         seq = view.sequence(32)
         assert np.array_equal(seq[:16], seq[16:])
+
+    @pytest.mark.parametrize("make_parent", [
+        lambda: Halton(base=3, width=8), lambda: SystemRNG(width=8, seed=4),
+    ], ids=["halton", "system"])
+    def test_aperiodic_parent_is_shifted_not_wrapped(self, make_parent):
+        # The parent has no period, so neither has the view: it must not
+        # wrap at the modulus (index 256 - 5) where the parent does not.
+        parent = make_parent()
+        view = RotatedView(parent, 5)
+        assert getattr(view, "period", None) is None
+        assert view._cacheable_period() is None
+        want = parent.sequence(305)[5:]
+        assert np.array_equal(view.sequence(300), want)
+        assert np.array_equal(view.sequence_window(240, 300), want[240:])
+        idx = np.array([0, 250, 251, 299])
+        assert np.array_equal(view.sequence_at(idx), want[idx])
 
     def test_name_mentions_phase(self):
         assert ">>7" in RotatedView(LFSR(width=8), 7).name
@@ -62,6 +78,14 @@ class TestRNGBank:
         for i in range(4):
             for j in range(i + 1, 4):
                 assert abs(scc(streams[i], streams[j])) < 0.35
+
+    def test_aperiodic_parent_taps_are_shifted_not_wrapped(self):
+        # Phases step modulo the modulus, but a tap's values do not wrap
+        # there: it reads the parent's sequence from its phase on.
+        parent = Halton(base=3, width=8)
+        tap = RNGBank(parent, stride=37).take_many(2)[1]
+        assert getattr(tap, "period", None) is None
+        assert np.array_equal(tap.sequence(300), parent.sequence(337)[37:])
 
     def test_take_many_requires_positive_count(self):
         from repro.exceptions import CircuitConfigurationError

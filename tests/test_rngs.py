@@ -23,6 +23,7 @@ from repro.rng import (
     radical_inverse,
 )
 from repro.rng.base import PERIOD_CACHE_LIMIT
+from repro.rng.halton import _low_digits
 from repro.rng.vandercorput import _reverse_bits
 
 
@@ -112,22 +113,25 @@ class TestLFSR:
     def test_long_custom_cycle_is_not_walked_by_sequence_reads(self):
         # x^32 + x^22 + x^2 + x + 1 is primitive: a 2^32 - 1 cycle. Reads
         # stop looking for it past the period cache limit, once, and then
-        # step only what they return; a view walks nothing until used.
+        # step only what they return; a view walks nothing until used,
+        # and then no more than its parent's reads.
         lfsr = LFSR(width=32, taps=(32, 22, 2, 1), seed=5)
         with mock.patch.object(lfsr, "_step", wraps=lfsr._step) as spy:
-            RotatedView(lfsr, 3)
+            view = RotatedView(lfsr, 3)
             assert spy.call_count == 0
             head = lfsr.sequence(10)
             assert spy.call_count <= PERIOD_CACHE_LIMIT + 10
             window = lfsr.sequence_window(5, 10)
             at = lfsr.sequence_at(np.array([0, 7]))
             again = lfsr.sequence(10)
-            assert spy.call_count <= PERIOD_CACHE_LIMIT + 40
+            shifted = view.sequence(7)
+            assert spy.call_count <= PERIOD_CACHE_LIMIT + 50
         stepped = lfsr._generate(10)
         assert np.array_equal(head, stepped)
         assert np.array_equal(window, stepped[5:])
         assert np.array_equal(at, stepped[[0, 7]])
         assert np.array_equal(again, stepped)
+        assert np.array_equal(shifted, stepped[3:])
 
     def test_builtin_taps_in_any_order_keep_the_maximal_period(self):
         assert LFSR(width=8, taps=(4, 5, 6, 8)).period == 255
@@ -188,6 +192,8 @@ class TestVanDerCorput:
         got = _reverse_bits(values, width)
         assert got.dtype == values.dtype
         assert np.array_equal(got, _shift_loop_reverse(values, width))
+        # Bits past the width are ignored: ranges reverse unreduced runs.
+        assert np.array_equal(_reverse_bits(values | (1 << width), width), got)
 
     @given(width=st.integers(1, 62), phase=st.integers(0, 1 << 61),
            length=st.integers(1, 300), data=st.data())
@@ -209,6 +215,44 @@ class TestVanDerCorput:
         )
         indices = data.draw(_indices(1 << 61))
         assert np.array_equal(vdc.sequence_at(indices), oracle(indices))
+
+    @pytest.mark.parametrize("width", [17, 18, 20, 24, 33, 47, 61, 62])
+    def test_wide_windows_match_shift_loop_across_runs_and_wraps(self, width):
+        # Wide registers build windows from runs of 256 consecutive
+        # reduced indices; windows here start one before, at and one
+        # after a run edge, and cross the modulus wrap.
+        modulus = 1 << width
+        lengths = (4099, 1 << 18) if width in (17, 20) else (4099,)
+        for phase in (0, 3, modulus - 700):
+            vdc = VanDerCorput(width=width, phase=phase)
+            for first in (0, 255, 256, 257, modulus - 1, modulus - 1000):
+                start = (first - phase) % modulus
+                for length in lengths:
+                    index = np.arange(start, start + length, dtype=np.int64)
+                    want = _shift_loop_reverse((index + phase) & (modulus - 1), width)
+                    got = vdc.sequence_window(start, start + length)
+                    assert got.tobytes() == want.tobytes(), (phase, first, length)
+        # sequence() takes the same path, through three wraps.
+        vdc = VanDerCorput(width=17, phase=5)
+        index = np.arange(3 * (1 << 17) + 5, dtype=np.int64)
+        want = _shift_loop_reverse((index + 5) & ((1 << 17) - 1), 17)
+        assert vdc.sequence(index.size).tobytes() == want.tobytes()
+
+    @given(width=st.integers(17, 62), phase=st.integers(0, 1 << 61),
+           run=st.integers(0, 1 << 54), offset=st.integers(-300, 300),
+           length=st.integers(1, 700))
+    @settings(max_examples=100, deadline=None)
+    def test_wide_windows_at_run_edges_match_shift_loop(
+        self, width, phase, run, offset, length
+    ):
+        # ``run * 256`` may reach the modulus: the window then wraps.
+        modulus = 1 << width
+        first = (run % ((modulus >> 8) + 1)) * 256 + offset
+        start = (first - phase) % modulus
+        index = np.arange(start, start + length, dtype=np.int64)
+        want = _shift_loop_reverse((index + phase) & (modulus - 1), width)
+        got = VanDerCorput(width=width, phase=phase).sequence_window(start, start + length)
+        assert got.tobytes() == want.tobytes()
 
     def test_width_above_62_rejected_at_construction(self):
         # A 63-bit modulus does not fit the int64 index arithmetic: it
@@ -298,6 +342,52 @@ class TestHalton:
         )
         indices = data.draw(_indices(1 << 61))
         assert np.array_equal(halton.sequence_at(indices), oracle(indices))
+
+    @pytest.mark.parametrize("base", range(2, 14))
+    @pytest.mark.parametrize("width,phase,block,length", [
+        (8, 1, 1, 1 << 16),
+        (20, 0, 3, 1 << 18),
+        (1, 5, 1 << 20, 1 << 16),
+        (37, 2, 10**9, 1 << 16),
+        (63, 1, None, 1 << 16),
+    ])
+    def test_long_windows_match_radical_inverse(self, base, width, phase, block, length):
+        # Windows span several of the ``span``-index blocks they are
+        # built from, starting one before, at and one after a block
+        # edge; ``block=None`` starts near 2**61.
+        span = _low_digits(base)[1]
+        if block is None:
+            block = (1 << 61) // span
+        halton = Halton(base=base, width=width, phase=phase)
+        for start in (block * span - 1, block * span, block * span + 1):
+            index = np.arange(start + phase, start + phase + length, dtype=np.int64)
+            want = halton._quantise(radical_inverse(index, base))
+            got = halton.sequence_window(start, start + length)
+            assert got.tobytes() == want.tobytes(), start
+
+    @pytest.mark.parametrize("base", range(2, 14))
+    @pytest.mark.parametrize("width", [8, 63])
+    def test_sequence_across_blocks_matches_radical_inverse(self, base, width):
+        halton = Halton(base=base, width=width)
+        length = 3 * _low_digits(base)[1] + 2
+        index = np.arange(1, length + 1, dtype=np.int64)
+        want = halton._quantise(radical_inverse(index, base))
+        assert halton.sequence(length).tobytes() == want.tobytes()
+
+    @given(base=st.integers(2, 13), width=st.integers(1, 63),
+           phase=st.integers(0, 1 << 20), block=st.integers(0, 1 << 46),
+           offset=st.integers(-40, 40), length=st.integers(1, 300))
+    @settings(max_examples=150, deadline=None)
+    def test_short_windows_at_block_edges_match_radical_inverse(
+        self, base, width, phase, block, offset, length
+    ):
+        halton = Halton(base=base, width=width, phase=phase)
+        start = max(0, block * _low_digits(base)[1] + offset)
+        index = np.arange(start + phase, start + phase + length, dtype=np.int64)
+        want = halton._quantise(radical_inverse(index, base))
+        assert halton.sequence_window(start, start + length).tobytes() == want.tobytes()
+        head = halton._quantise(radical_inverse(index - start, base))
+        assert halton.sequence(length).tobytes() == head.tobytes()
 
     def test_width_above_63_rejected_at_construction(self):
         # A 64-bit modulus does not fit int64 values: it used to

@@ -51,7 +51,7 @@ from repro.engine import (
     compile_graph,
     run_streaming,
 )
-from repro.engine.executor import audit, run_batch
+from repro.engine.executor import audit, audit_batch, run_batch
 from repro.engine.library import long_stream_graph, mux_chain_graph
 from repro.engine.plan import FusedChain
 from repro.engine.streaming import audit_streaming
@@ -330,6 +330,30 @@ class TestRunStreamingIdentity:
             assert_backends_equivalent(
                 build_graph(graph_name), length, tile_words=(5,), audit=True
             )
+
+    def test_long_stream_graph_agrees_across_rng_blocks(self):
+        # An odd length past two of halton3's 3**9-index blocks and across
+        # many 256-index runs of the width-20 VDC. The interpreter and the
+        # whole-stream audit_batch read sequence(); tiled walks read
+        # windows, each tile cutting blocks and runs somewhere else.
+        length = 2 * 3**9 + 1001
+        graph = long_stream_graph(20)
+        bits = graph.run(length, backend="interpreter")
+        want = graph.audit(length, backend="interpreter")
+        plan = compile_graph(graph)
+        whole = audit_batch(plan, length)
+        for entry in want.entries:
+            got = whole.entry(entry.node)
+            assert got.measured_scc[0] == entry.measured_scc
+            assert got.measured_value[0] == entry.measured_value
+        sources = ("a", "b", "c", "d")
+        for tile_words in (1, 3, 64):
+            tiled = audit_streaming(plan, length, tile_words=tile_words)
+            assert tiled.entries == want.entries, tile_words
+            assert tiled.values == want.values, tile_words
+            streamed = run_streaming(plan, length, tile_words=tile_words, keep=sources)
+            for name in sources:
+                assert np.array_equal(streamed.bits(name)[0], bits[name]), (name, tile_words)
 
     def test_long_stream_graph_width_matched_audit(self):
         plan = compile_graph(long_stream_graph(14))
