@@ -380,21 +380,24 @@ def _run_phases(run_tasks, spans, waves, phase1, algebra, initial_state,
                 sink_blocks) -> List[tuple]:
     """Drive phases 1–3 through ``run_tasks(task_fn, arglists)`` — the
     pooled and in-process lanes share this loop, so the scan arithmetic
-    (and therefore the bits) cannot diverge."""
+    (and therefore the bits) cannot diverge. Phase 1 composes every span
+    but the last: the last span's map would only yield the stream's exit
+    state, which nothing reads."""
     span_entries: List[Dict[int, Any]] = [dict() for _ in spans]
     for w in waves:
         info = phase1[w]
         tasks = [
             (i, w, {g: span_entries[i][g] for g in info["carrier_groups"]})
-            for i in range(len(spans))
+            for i in range(len(spans) - 1)
         ]
         span_maps = run_tasks(_phase1_task, tasks)
         with obs_span("engine.parallel.scan", wave=w, spans=len(spans)):
             for g in info["groups"]:
                 state = initial_state[g]
-                for i in range(len(spans)):
+                span_entries[0][g] = state
+                for i, maps in enumerate(span_maps, start=1):
+                    state = algebra[g].apply(maps[g], state)
                     span_entries[i][g] = state
-                    state = algebra[g].apply(span_maps[i][g], state)
     return run_tasks(
         _phase3_task,
         [(i, span_entries[i], sink_blocks) for i in range(len(spans))],

@@ -13,9 +13,13 @@ The shuffle buffer gets a dedicated time-parallel kernel instead of a
 transition table: its state space (``2**depth`` buffer contents times the
 address phase) is large, but the circuit is a pure *bit relocation* — the
 bit emitted at cycle ``t`` is the one last written to slot
-``addresses[t]``, or the initial fill if that slot was never written. One
-pass over the ``depth`` slots recovers every source index, and the whole
-output is a single gather.
+``addresses[t]``, or the slot's contents entering the chunk if the chunk
+has not written it yet. :func:`shuffle_reads` finds every slot's hits in
+one pass per slot, points each hit at its source in ``[contents | bits]``
+(a slot's first hit at its entry contents, every later hit at the bit
+its previous hit wrote), and reads the whole output with a single
+``take``. The one-shot kernel runs it from the initial fill, the tile
+carrier (:mod:`repro.kernels.streaming`) from its carried contents.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ __all__ = [
     "op_kernel",
     "tfm_kernel",
     "shuffle_kernel",
+    "shuffle_reads",
     "compiled_kernel",
     "is_kernelized",
 ]
@@ -242,16 +247,38 @@ def shuffle_kernel(buffer, bits: np.ndarray) -> Optional[np.ndarray]:
         return None
     counter_add("kernels.dispatch.shuffle")
     batch, length = bits.shape
-    depth = buffer.depth
-    addresses = buffer.rng.integers(length, depth)
-    # prev[t] = index of the previous cycle that addressed slot
-    # addresses[t], or -1 if t is that slot's first access.
-    prev = np.full(length, -1, dtype=np.int64)
+    addresses = buffer.rng.integers(length, buffer.depth)
+    out, _ = shuffle_reads(buffer._initial_buffer(batch), bits, addresses)
+    return out
+
+
+def shuffle_reads(
+    contents: np.ndarray, bits: np.ndarray, addresses: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A shuffle buffer over one chunk: ``(out, contents after)``.
+
+    ``contents`` is the ``(batch, depth)`` buffer entering the chunk,
+    ``bits`` the ``(batch, length)`` inputs and ``addresses`` the slot
+    addressed at each cycle. Both results are gathers from
+    ``pool = [contents | bits]``: a slot's first hit reads its entry
+    contents (``src = slot``), every later hit the bit its previous hit
+    wrote (``src = previous hit + depth``), and each slot leaves holding
+    its last write, or its entry contents if the chunk never addressed
+    it. One pass per slot finds the hits.
+    """
+    batch, length = bits.shape
+    depth = contents.shape[1]
+    # The narrowest dtype that holds a slot makes each pass cheaper.
+    addresses = addresses.astype(np.min_scalar_type(depth - 1), copy=False)
+    src = np.empty(length, dtype=np.intp)
+    last = np.arange(depth, dtype=np.intp)
     for slot in range(depth):
         hits = np.flatnonzero(addresses == slot)
-        if hits.size > 1:
-            prev[hits[1:]] = hits[:-1]
-    init_row = buffer._initial_buffer(1)[0]
-    fallback = init_row[addresses]                       # (length,)
-    gathered = bits[:, np.maximum(prev, 0)]              # (batch, length)
-    return np.where(prev >= 0, gathered, fallback[None, :]).astype(np.uint8)
+        if hits.size:
+            src[hits[0]] = slot
+            src[hits[1:]] = hits[:-1] + depth
+            last[slot] = hits[-1] + depth
+    pool = np.empty((batch, depth + length), dtype=np.uint8)
+    pool[:, :depth] = contents
+    pool[:, depth:] = bits
+    return pool.take(src, axis=1), pool.take(last, axis=1)

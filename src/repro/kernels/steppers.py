@@ -29,7 +29,8 @@ stepping (the reference the tests compare against).
 from __future__ import annotations
 
 import sys
-from typing import Optional, Tuple
+from itertools import islice
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -271,34 +272,43 @@ def _walk_rows(lut: np.ndarray, index: np.ndarray, state: np.ndarray) -> np.ndar
     return entry
 
 
+def _walk_block(step: memoryview, bases: Iterable[int], state: int) -> int:
+    """One state through the chunk rows at ``bases``; the state after."""
+    for base in bases:
+        state = step[base + state]
+    return state
+
+
 def _walk_map(lut: np.ndarray, bases: list, row: list) -> list:
     """Advance one state map ``row`` through the chunk rows at ``bases``.
 
-    Only the distinct states of the map are walked: maps of these FSMs
-    contract (rows entered in different states soon agree), so after a
-    few chunks the walk is one lookup per chunk however many states the
-    FSM has. ``slots[s]`` is entry state ``s``'s position in ``image``.
+    Only the distinct states of the map are walked, each through blocks
+    of 1, 2, 4, … chunks; states that meet at a block's end merge, and
+    once one state is left it walks the rest in one block. Contracting
+    maps (the synchronizer's, the TFM's) merge within a few short
+    blocks; a map that keeps several states (the desynchronizer's keeps
+    two) costs one plain walk per state. ``slots[s]`` is entry state
+    ``s``'s position in ``image``.
     """
     step = memoryview(lut)
     image = list(dict.fromkeys(row))
     position = {s: i for i, s in enumerate(image)}
     slots = [position[s] for s in row]
     chunks = iter(bases)
-    if len(image) > 1:
-        for base in chunks:
-            image = [step[base + s] for s in image]
-            merged = list(dict.fromkeys(image))
-            if len(merged) < len(image):
-                position = {s: i for i, s in enumerate(merged)}
-                slots = [position[image[j]] for j in slots]
-                image = merged
-                if len(image) == 1:
-                    break
+    block = 1
+    while len(image) > 1:
+        chunk = list(islice(chunks, block))
+        if not chunk:
+            break
+        image = [_walk_block(step, chunk, s) for s in image]
+        merged = list(dict.fromkeys(image))
+        if len(merged) < len(image):
+            position = {s: i for i, s in enumerate(merged)}
+            slots = [position[image[j]] for j in slots]
+            image = merged
+        block *= 2
     if len(image) == 1:
-        (state,) = image
-        for base in chunks:
-            state = step[base + state]
-        return [state] * len(slots)
+        return [_walk_block(step, chunks, image[0])] * len(slots)
     return [image[j] for j in slots]
 
 

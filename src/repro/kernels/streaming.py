@@ -13,7 +13,9 @@ Carrier construction mirrors :func:`repro.kernels.dispatch.is_kernelized`:
 * table-compiled pair FSMs (synchronizer, desynchronizer, flush modes
   included) resume via :func:`repro.kernels.steppers.step_chunk`;
 * the shuffle buffer carries its ``depth``-slot contents plus the stream
-  offset (addresses come from the RNG's window API);
+  offset (addresses come from the RNG's window API); each chunk is one
+  :func:`repro.kernels.dispatch.shuffle_reads`, the one-shot kernel's
+  gather;
 * the isolator carries its last ``delay`` input bits;
 * the TFM carries its estimate register; its auxiliary comparator
   sequence is windowed;
@@ -43,7 +45,9 @@ Map representations per circuit:
   apply a row lookup;
 * shuffle buffer — ``(written, values)``: which slots the span wrote,
   and the last bit written to each (addresses are position-only, so the
-  map is input-affine); compose overlays the later map's writes;
+  map is input-affine); a chunk's last writes are searched back from its
+  end, asking the RNG only for the tail that holds them; compose
+  overlays the later map's writes;
 * isolator — the span's last ``min(delay, span_len)`` input bits;
   compose concatenates and truncates;
 * decorrelator / TFM-pair / isolator-pair — componentwise maps of their
@@ -64,7 +68,7 @@ from typing import Any, Optional, Tuple
 
 import numpy as np
 
-from .dispatch import compiled_kernel
+from .dispatch import compiled_kernel, shuffle_reads
 from .steppers import compose_chunk, state_trajectory, step_chunk
 from .tables import CompiledFSM
 
@@ -255,14 +259,9 @@ class TablePairComposer(PairComposer):
 # ---------------------------------------------------------------------- #
 
 class ShuffleCarrier(StreamCarrier):
-    """Shuffle buffer with carried slot contents.
-
-    Within a chunk the gather trick of
-    :func:`repro.kernels.dispatch.shuffle_kernel` applies unchanged; a
-    slot not yet written *in this chunk* falls back to the carried buffer
-    contents instead of the initial fill, and slots written in the chunk
-    update the carry from their last write.
-    """
+    """Shuffle buffer with carried slot contents: each chunk is one
+    :func:`repro.kernels.dispatch.shuffle_reads` from the carried
+    contents (the one-shot kernel starts it from the initial fill)."""
 
     def __init__(self, buffer, batch: int, start: int = 0) -> None:
         self._buffer = buffer
@@ -276,22 +275,7 @@ class ShuffleCarrier(StreamCarrier):
             self._offset, self._offset + length, buffer.depth
         )
         self._offset += length
-        prev = np.full(length, -1, dtype=np.int64)
-        slot_last = np.full(buffer.depth, -1, dtype=np.int64)
-        for slot in range(buffer.depth):
-            hits = np.flatnonzero(addresses == slot)
-            if hits.size:
-                slot_last[slot] = hits[-1]
-                if hits.size > 1:
-                    prev[hits[1:]] = hits[:-1]
-        fallback = self._contents[:, addresses]            # (batch, length)
-        gathered = bits[:, np.maximum(prev, 0)]
-        out = np.where(prev[None, :] >= 0, gathered, fallback).astype(np.uint8)
-        # Update the carry: each slot keeps the bit of its last write in
-        # this chunk (untouched slots keep their carried contents).
-        written = slot_last >= 0
-        if written.any():
-            self._contents[:, written] = bits[:, slot_last[written]]
+        out, self._contents = shuffle_reads(self._contents, bits, addresses)
         return out
 
     def get_state(self) -> np.ndarray:
@@ -306,7 +290,13 @@ class ShuffleComposer(StreamComposer):
     of stream position, so a span's effect on the buffer is *input-affine*
     — ``(written, values)``: which slots the span wrote at all, and the
     bit each received from its last write. Entry contents only survive in
-    slots the span never addressed."""
+    slots the span never addressed.
+
+    Only each slot's last write matters, so ``step`` searches back from
+    the chunk's end through windows of 64, 64, 128, 256, … cycles (the
+    searched tail doubles) until every slot has been seen, and asks the
+    RNG for those windows only. A slot the chunk never addresses makes
+    the search cover the whole chunk."""
 
     def __init__(self, buffer, batch: int, start: int = 0) -> None:
         self._buffer = buffer
@@ -317,15 +307,20 @@ class ShuffleComposer(StreamComposer):
     def step(self, bits: np.ndarray) -> None:
         buffer = self._buffer
         length = bits.shape[1]
-        addresses = buffer.rng.integers_window(
-            self._offset, self._offset + length, buffer.depth
-        )
+        start = self._offset
         self._offset += length
+        # slot_last[s]: chunk index of slot s's last write, -1 if none.
+        # Windows are searched latest first, so a later hit is never
+        # overwritten by an earlier one.
         slot_last = np.full(buffer.depth, -1, dtype=np.int64)
-        for slot in range(buffer.depth):
-            hits = np.flatnonzero(addresses == slot)
-            if hits.size:
-                slot_last[slot] = hits[-1]
+        stop, tail = length, 64
+        while stop > 0 and (slot_last < 0).any():
+            begin = max(0, length - tail)
+            addresses = buffer.rng.integers_window(
+                start + begin, start + stop, buffer.depth
+            )
+            np.maximum.at(slot_last, addresses, np.arange(begin, stop))
+            stop, tail = begin, 2 * tail
         written = slot_last >= 0
         if written.any():
             self._written |= written

@@ -32,7 +32,8 @@ from repro.core import (
 )
 from repro.kernels import dispatch, steppers
 from repro.kernels.steppers import _composed_table, chunked_outputs, compose_chunk
-from repro.rng import LFSR
+from repro.kernels.streaming import make_stream_carrier, make_stream_composer
+from repro.rng import LFSR, CounterRNG
 
 DEPTHS = (1, 2, 4, 8)
 BATCHES = (1, 7, 256)
@@ -492,13 +493,48 @@ def _stepped_outputs(fsm, x, y, state):
 
 
 def _walk_case():
-    """(circuit index, length, seed, row): the batch-of-3 inputs, entry
-    states and maps are drawn from the seed, and ``row`` is the one run
+    """(circuit index, length, seed, row): the batch-of-3 inputs and
+    entry states are drawn from the seed, and ``row`` is the one run
     alone."""
     return st.tuples(
         st.integers(0, len(WALK_CIRCUITS) - 1), st.integers(0, 300),
         st.integers(0, 2**32 - 1), st.integers(0, 2),
     )
+
+
+def _walk_map_per_chunk(lut, bases, row):
+    """The span-map walk with merge bookkeeping after every chunk: the
+    single-map walk ``steppers._walk_map`` replaced, kept as its oracle."""
+    step = memoryview(lut)
+    image = list(dict.fromkeys(row))
+    position = {s: i for i, s in enumerate(image)}
+    slots = [position[s] for s in row]
+    chunks = iter(bases)
+    if len(image) > 1:
+        for base in chunks:
+            image = [step[base + s] for s in image]
+            merged = list(dict.fromkeys(image))
+            if len(merged) < len(image):
+                position = {s: i for i, s in enumerate(merged)}
+                slots = [position[image[j]] for j in slots]
+                image = merged
+                if len(image) == 1:
+                    break
+    if len(image) == 1:
+        (state,) = image
+        for base in chunks:
+            state = step[base + state]
+        return [state] * len(slots)
+    return [image[j] for j in slots]
+
+
+# The maps compose_chunk walks: every walked circuit, the synchronizer
+# and desynchronizer at depth 3 too, and the TFM's 256-state register.
+MAP_CIRCUITS = WALK_CIRCUITS + [
+    cls(3, flush=flush)
+    for cls in (Synchronizer, Desynchronizer)
+    for flush in (False, True)
+] + [TrackingForecastMemory(LFSR(8, seed=7))]
 
 
 class TestSingleRowWalks:
@@ -589,25 +625,39 @@ class TestSingleRowWalks:
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want[row:row + 1])
 
-    @given(case=_walk_case(), remaining_after=st.integers(0, 6),
-           identity=st.booleans())
-    @settings(max_examples=120, deadline=None)
-    def test_compose_chunk_row_equals_batched_take(self, case, remaining_after, identity):
-        index, length, seed, row = case
-        fsm = kernels.compile_transform(WALK_CIRCUITS[index])
+    # About half the draws take the TFM, the one wide map that merges.
+    @given(index=st.one_of(st.integers(0, len(MAP_CIRCUITS) - 1),
+                           st.just(len(MAP_CIRCUITS) - 1)),
+           length=st.integers(0, 2**14), seed=st.integers(0, 2**32 - 1),
+           spread=st.sampled_from(["identity", "random", "constant"]),
+           remaining_after=st.integers(0, 6))
+    @settings(max_examples=160, deadline=None)
+    def test_compose_chunk_row_equals_batched_take(
+        self, index, length, seed, spread, remaining_after
+    ):
+        # Up to 2^14 symbols (thousands of chunks, so many doubled
+        # blocks): the block walk at batch 1, the per-chunk walk and the
+        # batch-3 take loop agree on every row. Flush circuits step their
+        # tail tables around the walked steady region, and the TFM's
+        # 256-state maps merge as their states meet.
+        fsm = kernels.compile_transform(MAP_CIRCUITS[index])
         rng = np.random.default_rng(seed)
-        symbols = rng.integers(0, 4, (3, length)).astype(np.uint8)
-        if identity:
-            maps = np.tile(np.arange(fsm.n_states, dtype=np.int16), (3, 1))
-        else:
-            maps = rng.integers(0, fsm.n_states, (3, fsm.n_states)).astype(np.int16)
+        n = fsm.n_states
+        symbols = rng.integers(0, fsm.n_symbols, (3, length)).astype(np.uint8)
+        maps = {
+            "identity": np.tile(np.arange(n, dtype=np.int16), (3, 1)),
+            "random": rng.integers(0, n, (3, n)).astype(np.int16),
+            "constant": np.full((3, n), rng.integers(0, n), dtype=np.int16),
+        }[spread]
         batched = compose_chunk(fsm, maps, symbols, remaining_after=remaining_after)
-        single = compose_chunk(
-            fsm, maps[row:row + 1], symbols[row:row + 1],
-            remaining_after=remaining_after,
-        )
-        assert single.dtype == batched.dtype
-        assert np.array_equal(single, batched[row:row + 1])
+        for row in range(3):
+            args = (fsm, maps[row:row + 1], symbols[row:row + 1])
+            single = compose_chunk(*args, remaining_after=remaining_after)
+            with mock.patch.object(steppers, "_walk_map", _walk_map_per_chunk):
+                oracle = compose_chunk(*args, remaining_after=remaining_after)
+            assert single.dtype == oracle.dtype == batched.dtype
+            assert np.array_equal(single, oracle)
+            assert np.array_equal(single, batched[row:row + 1])
 
     @given(length=st.integers(0, 2000), seed=st.integers(0, 2**32 - 1),
            spread=st.sampled_from(["identity", "random", "constant"]))
@@ -626,7 +676,185 @@ class TestSingleRowWalks:
         batched = compose_chunk(fsm, maps, symbols)
         for row in range(3):
             single = compose_chunk(fsm, maps[row:row + 1], symbols[row:row + 1])
+            with mock.patch.object(steppers, "_walk_map", _walk_map_per_chunk):
+                oracle = compose_chunk(fsm, maps[row:row + 1], symbols[row:row + 1])
+            assert np.array_equal(single, oracle)
             assert np.array_equal(single, batched[row:row + 1])
+
+    @pytest.mark.parametrize("circuit, persistent", [
+        (Desynchronizer(1), 2),
+        (Synchronizer(1), 1),
+        (TrackingForecastMemory(LFSR(8, seed=7)), 1),
+    ], ids=["desync1", "sync1", "tfm"])
+    def test_walks_blocks_not_chunks(self, circuit, persistent):
+        # The desynchronizer's map never contracts to one state (two stay
+        # apart for good), so a walk that merges per chunk would call the
+        # block helper once per state per chunk. Blocks of 1, 2, 4, ...
+        # chunks bound the calls by the map's distinct entry states times
+        # the number of blocks, and merging keeps the lookups near one
+        # walk per persistent state.
+        fsm = kernels.compile_transform(circuit)
+        rng = np.random.default_rng(3)
+        symbols = rng.integers(0, fsm.n_symbols, (1, 2**16)).astype(np.uint8)
+        identity = np.arange(fsm.n_states, dtype=np.int16)[None, :]
+        chunks = 2**16 // steppers.choose_chunk(fsm.n_symbols, fsm.n_states)
+        walk_block, blocks = steppers._walk_block, []
+
+        def spy(step, bases, state):
+            bases = list(bases)
+            blocks.append(len(bases))
+            return walk_block(step, bases, state)
+
+        with mock.patch.object(steppers, "_walk_block", spy):
+            walked = compose_chunk(fsm, identity, symbols)
+        with mock.patch.object(steppers, "_walk_map", _walk_map_per_chunk):
+            assert np.array_equal(walked, compose_chunk(fsm, identity, symbols))
+        assert len(set(walked[0].tolist())) == persistent
+        bound = fsm.n_states * (int(np.log2(chunks)) + 1)
+        assert 0 < len(blocks) <= bound, (len(blocks), bound)
+        assert sum(blocks) < (persistent + 1) * chunks, (sum(blocks), chunks)
+
+
+# ---------------------------------------------------------------------- #
+# Shuffle reads and shuffle maps against the passes they replaced
+# ---------------------------------------------------------------------- #
+
+def _gather_trick_shuffle(buffer, bits):
+    """The one-shot shuffle kernel as a previous-hit index, two gathers
+    and a select: the form ``dispatch.shuffle_reads`` replaced."""
+    length = bits.shape[1]
+    addresses = buffer.rng.integers(length, buffer.depth)
+    prev = np.full(length, -1, dtype=np.int64)
+    for slot in range(buffer.depth):
+        hits = np.flatnonzero(addresses == slot)
+        if hits.size > 1:
+            prev[hits[1:]] = hits[:-1]
+    fallback = buffer._initial_buffer(1)[0][addresses]
+    gathered = bits[:, np.maximum(prev, 0)]
+    return np.where(prev >= 0, gathered, fallback[None, :]).astype(np.uint8)
+
+
+def _full_scan_map(buffer, bits, start):
+    """One chunk's shuffle map ``(written, values)`` from a pass per slot
+    over the chunk's whole address window: the composer step the tail
+    search replaced."""
+    length = bits.shape[1]
+    addresses = buffer.rng.integers_window(start, start + length, buffer.depth)
+    slot_last = np.full(buffer.depth, -1, dtype=np.int64)
+    for slot in range(buffer.depth):
+        hits = np.flatnonzero(addresses == slot)
+        if hits.size:
+            slot_last[slot] = hits[-1]
+    written = slot_last >= 0
+    values = np.zeros((bits.shape[0], buffer.depth), dtype=np.uint8)
+    values[:, written] = bits[:, slot_last[written]]
+    return written, values
+
+
+# Address sources: an LFSR hits every slot within a few cycles; a
+# width-8 counter dwells on each slot for 256 / depth cycles, so a slot's
+# last write can lie far behind a chunk's end; a width-2 counter never
+# addresses most slots of a deep buffer.
+ADDRESS_RNGS = {
+    "lfsr": lambda: LFSR(8, seed=45),
+    "counter8": lambda: CounterRNG(8),
+    "counter2": lambda: CounterRNG(2),
+}
+
+
+def _cuts(lengths):
+    return np.cumsum([0] + list(lengths)).tolist()
+
+
+class TestShuffleReads:
+    @given(depth=st.integers(1, 8),
+           init=st.sampled_from(["half_ones", "zeros", "ones"]),
+           batch=st.sampled_from([1, 8, 64]),
+           source=st.sampled_from(sorted(ADDRESS_RNGS)),
+           lengths=st.lists(st.integers(1, 300), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_and_carrier_equal_reference(
+        self, depth, init, batch, source, lengths, seed
+    ):
+        # The one-shot kernel and a carrier fed the same stream in random
+        # chunks both read what the per-cycle loop reads, and the carrier
+        # leaves each slot holding its last write.
+        buffer = ShuffleBuffer(ADDRESS_RNGS[source](), depth, init=init)
+        cuts = _cuts(lengths)
+        bits = _bits(np.random.default_rng(seed), batch, cuts[-1])
+        reference = buffer._reference_process_stream_bits(bits)
+        kernel = dispatch.shuffle_kernel(buffer, bits)
+        assert kernel.dtype == np.uint8
+        assert np.array_equal(kernel, reference)
+        assert np.array_equal(kernel, _gather_trick_shuffle(buffer, bits))
+
+        carrier = make_stream_carrier(buffer, cuts[-1], batch)
+        steps = [carrier.step(bits[:, a:b]) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate(steps, axis=1), reference)
+        written, values = _full_scan_map(buffer, bits, 0)
+        final = np.where(written[None, :], values, buffer._initial_buffer(batch))
+        assert np.array_equal(carrier.get_state(), final)
+
+    @given(depth=st.integers(1, 8),
+           batch=st.sampled_from([1, 8]),
+           source=st.sampled_from(sorted(ADDRESS_RNGS)),
+           start=st.integers(0, 600),
+           lengths=st.lists(
+               st.one_of(st.integers(1, 63), st.integers(64, 700)),
+               min_size=1, max_size=6,
+           ),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_composer_equals_full_scan(
+        self, depth, batch, source, start, lengths, seed
+    ):
+        # Chunks shorter than the first tail window, chunks whose slots'
+        # last writes lie far behind their end, slots a chunk never
+        # addresses: every chunk's map is the full scan's, and the
+        # composed map lands on the carrier's contents.
+        buffer = ShuffleBuffer(ADDRESS_RNGS[source](), depth)
+        cuts = _cuts(lengths)
+        bits = _bits(np.random.default_rng(seed), batch, cuts[-1])
+        composer = make_stream_composer(buffer, start + cuts[-1], batch, start)
+        expected = (np.zeros(depth, dtype=bool),
+                    np.zeros((batch, depth), dtype=np.uint8))
+        for a, b in zip(cuts, cuts[1:]):
+            composer.step(bits[:, a:b])
+            chunk = _full_scan_map(buffer, bits[:, a:b], start + a)
+            expected = composer.compose(expected, chunk)
+            written, values = composer.state_map
+            assert np.array_equal(written, expected[0])
+            assert np.array_equal(values[:, written], expected[1][:, written])
+        carrier = make_stream_carrier(buffer, start + cuts[-1], batch, start)
+        entry = carrier.get_state()
+        carrier.step(bits)
+        assert np.array_equal(
+            composer.apply(composer.state_map, entry), carrier.get_state()
+        )
+
+    def test_last_write_far_behind_tile_end(self):
+        # A width-8 counter over 8 slots addresses slot 0 for cycles
+        # 0-31 only: in a 256-cycle tile its last write is 224 cycles
+        # before the end, three doublings past the first tail window.
+        buffer = ShuffleBuffer(CounterRNG(8), 8)
+        bits = _bits(np.random.default_rng(21), 2, 256)
+        composer = make_stream_composer(buffer, 256, 2)
+        composer.step(bits)
+        written, values = composer.state_map
+        assert written.all()
+        assert np.array_equal(values, bits[:, 31::32])
+
+    def test_slot_never_addressed(self):
+        # A width-2 counter reaches slots 0, 2, 4 and 6 of 8 only: the
+        # search covers the whole tile and leaves the odd slots unwritten.
+        buffer = ShuffleBuffer(CounterRNG(2), 8)
+        bits = _bits(np.random.default_rng(22), 3, 1000)
+        composer = make_stream_composer(buffer, 1000, 3)
+        composer.step(bits)
+        written, values = composer.state_map
+        assert written.tolist() == [True, False] * 4
+        assert np.array_equal(values[:, written], bits[:, 996:])
 
 
 # ---------------------------------------------------------------------- #
