@@ -4,8 +4,9 @@ Two tracked properties for :mod:`repro.engine.parallel`:
 
 * **identity at every worker count** — the paper's width-matched
   manipulation graph (``long_stream_graph``) at N = 2^20, evaluated
-  sequentially and at jobs ∈ {2, 4}: every node's popcount totals and
-  every audit entry must be *equal*, not approximately equal. These rows
+  sequentially and at jobs ∈ {2, 4}: the popcount totals of its three
+  sinks and every audit entry must be *equal*, not approximately equal.
+  The timed rows walk the same three sinks. These rows
   run on any machine — a single-core box still forks the span workers
   and must produce the same bits.
 * **speedup floor** — ``jobs=4`` must beat the sequential walk by
@@ -34,6 +35,9 @@ N = 1 << 20
 TILE_WORDS = 512
 JOBS_GRID = (1, 2, 4)
 MIN_PARALLEL_SPEEDUP = 2.0  # jobs=4 vs jobs=1, >= 4 CPUs only
+# The graph's three sinks. ``keep=()`` would let dead-node elimination
+# prune every node, leaving an empty walk to time and compare.
+KEEP = ("diff", "sat", "prod")
 
 
 def _cpus() -> int:
@@ -57,10 +61,12 @@ def _run_and_archive():
 
     # Identity first: ones totals and audit entries at every jobs value
     # must equal the sequential walk before any timing is worth keeping.
-    reference = run_streaming(plan, N, tile_words=TILE_WORDS, keep=())
+    reference = run_streaming(plan, N, tile_words=TILE_WORDS, keep=KEEP)
+    assert reference.ones, "the sequential walk kept no node"
     ref_audit = audit_streaming(plan, N, tile_words=TILE_WORDS)
     for jobs in JOBS_GRID[1:]:
-        result = run_streaming(plan, N, tile_words=TILE_WORDS, keep=(), jobs=jobs)
+        result = run_streaming(plan, N, tile_words=TILE_WORDS, keep=KEEP, jobs=jobs)
+        assert set(result.ones) == set(reference.ones)
         for name in reference.ones:
             assert np.array_equal(result.ones[name], reference.ones[name]), (
                 f"jobs={jobs} changed popcounts on {name}"
@@ -72,7 +78,7 @@ def _run_and_archive():
     times = {
         jobs: _best_of(
             lambda jobs=jobs: run_streaming(
-                plan, N, tile_words=TILE_WORDS, keep=(), jobs=jobs
+                plan, N, tile_words=TILE_WORDS, keep=KEEP, jobs=jobs
             )
         )
         for jobs in JOBS_GRID

@@ -1,6 +1,6 @@
 """Bench: streaming tile execution — fusion speedup and constant memory.
 
-Three tracked numbers for the streaming executor
+Four tracked numbers for the streaming executor
 (:mod:`repro.engine.streaming`):
 
 * **fused vs unfused** — a depth-64 MUX scaled-add chain (the SC
@@ -20,6 +20,10 @@ Three tracked numbers for the streaming executor
 * **long-stream convergence** — the ``long_stream`` experiment at
   exhaustive fidelity (N up to 2^22), archived like every other
   experiment table.
+* **fresh-graph memory** — after a warm round, 100 audits at N = 2^20
+  that each build and compile a fresh ``long_stream_graph(20)`` (50 at
+  ``jobs=1``, 50 at ``jobs=2``) must share one cached plan: the plan
+  cache does not grow and the resident set grows by at most 1 MiB.
 
 ``python benchmarks/bench_streaming.py --rss-smoke`` is the CI
 constant-memory proof: it caps the process address space via
@@ -54,6 +58,10 @@ MIN_FUSED_SPEEDUP = 1.3
 MEMORY_N = 1 << 20
 MEMORY_TILE_WORDS = 512
 MIN_MEMORY_REDUCTION = 8.0
+
+FRESH_N = 1 << 20
+FRESH_CALLS = 100
+MAX_FRESH_RSS_GROWTH_KIB = 1024
 
 SMOKE_N = 1 << 22
 # Address-space headroom for the --rss-smoke run. The materialised
@@ -189,15 +197,45 @@ def test_long_stream_experiment(record_result):
     record_result(long_stream(exponents=_LONG_STREAM_EXPONENTS_EXHAUSTIVE))
 
 
+def _proc_status_kib(field: str) -> int:
+    for line in pathlib.Path("/proc/self/status").read_text().splitlines():
+        if line.startswith(field + ":"):
+            return int(line.split()[1])
+    raise RuntimeError(f"{field} not found (non-Linux host?)")
+
+
+@pytest.mark.skipif(
+    not pathlib.Path("/proc/self/status").exists(),
+    reason="reads VmRSS from /proc/self/status",
+)
+def test_fresh_graph_memory_flat():
+    # What a long_stream shard, `repro engine --streaming` or a perfbench
+    # stream call does: build the graph, compile it, audit it. A plan
+    # keyed by instance identity would pin each fresh graph's composed
+    # LUTs and RNG window memos until the plan cache evicts them.
+    def fresh_audits(calls):
+        for i in range(calls):
+            plan = engine.compile_graph(long_stream_graph(20))
+            audit_streaming(plan, FRESH_N, jobs=1 + i % 2)
+
+    fresh_audits(2)
+    size = engine.cache_info()["size"]
+    before = _proc_status_kib("VmRSS")
+    fresh_audits(FRESH_CALLS)
+    growth = _proc_status_kib("VmRSS") - before
+    assert growth <= MAX_FRESH_RSS_GROWTH_KIB, (
+        f"{FRESH_CALLS} fresh-graph audits grew VmRSS by {growth} KiB "
+        f"(bound {MAX_FRESH_RSS_GROWTH_KIB} KiB)"
+    )
+    assert engine.cache_info()["size"] == size, "fresh graphs missed the plan cache"
+
+
 # ---------------------------------------------------------------------- #
 # Constant-memory RSS smoke (CI): run N = 2^22 under a hard ceiling
 # ---------------------------------------------------------------------- #
 
 def _current_vm_peak_bytes() -> int:
-    for line in pathlib.Path("/proc/self/status").read_text().splitlines():
-        if line.startswith("VmPeak:"):
-            return int(line.split()[1]) * 1024
-    raise RuntimeError("VmPeak not found (non-Linux host?)")
+    return _proc_status_kib("VmPeak") * 1024
 
 
 def _materialized_probe() -> int:

@@ -8,8 +8,9 @@ input configurations* at once:
 
 * :mod:`repro.engine.plan` — the compile pass: topological levelization,
   packed-vs-FSM domain classification, transform-port pairing, buffer
-  lifetime assignment, and a structural-signature plan cache (the
-  autofix audit → splice → re-audit loop recompiles nothing it has seen);
+  lifetime assignment, and a structural-signature plan cache keyed by
+  transform fingerprints (the autofix audit → splice → re-audit loop and
+  fresh builds of the same graph recompile nothing they have seen);
 * :mod:`repro.engine.executor` — batched evaluation: word-parallel gate
   kernels, pack/unpack boundaries only around sequential FSM steps, and
   audit paths whose SCC measurements run through the packed overlap

@@ -27,10 +27,10 @@ runs a one-time *compile* pass per graph structure:
 
 Plans are cached in a module-level LRU keyed by the *structural
 signature* of the graph (node kinds, names, wiring, source specs, and
-transform identities), so audit → splice → re-audit loops — the
-:func:`repro.graph.autofix.autofix` hot path — recompile nothing they
-have already seen. :func:`cache_info` exposes hit/miss counters; the CLI
-prints them next to the plan.
+transform fingerprints), so audit → splice → re-audit loops — the
+:func:`repro.graph.autofix.autofix` hot path — and fresh builds of the
+same graph recompile nothing they have already seen. :func:`cache_info`
+exposes hit/miss counters; the CLI prints them next to the plan.
 """
 
 from __future__ import annotations
@@ -41,12 +41,20 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
+from ..core import (
+    Decorrelator, Desynchronizer, Isolator, IsolatorPair, PairTransform,
+    SeriesPair, SeriesStream, ShuffleBuffer, StreamTransform, Synchronizer,
+    TFMPair, TrackingForecastMemory,
+)
 from ..exceptions import GraphCompilationError
 from ..graph.graph import SCGraph
 from ..graph.nodes import OP_LIBRARY, OpNode, SourceNode, TransformNode
 from ..kernels import is_kernelized
 from ..obs import counter_add
 from ..obs import span as obs_span
+from ..rng import (
+    LFSR, CounterRNG, Halton, RotatedView, Sobol, StreamRNG, SystemRNG, VanDerCorput,
+)
 
 __all__ = [
     "PlanStep",
@@ -238,13 +246,80 @@ def _freeze(value):
     return value
 
 
+#: Exact type -> the attributes that hold its constructor arguments. A
+#: built-in transform or RNG is fingerprinted as its exact type plus
+#: these values, with nested transforms and RNGs (aux generators,
+#: shuffle buffers, series stages, a view's parent) fingerprinted in
+#: turn. Exact type only: a subclass may override ``_process_bits`` and
+#: must not share its parent's plan. No cache attribute is listed
+#: (compiled kernels, composed LUTs, period and window memos, the
+#: streaming cursor), so a used instance keys like a fresh one.
+_FINGERPRINT_FIELDS: Dict[type, Tuple[str, ...]] = {
+    Synchronizer: ("_depth", "_flush", "_initial_state"),
+    Desynchronizer: ("_depth", "_flush", "_first_tag"),
+    ShuffleBuffer: ("_rng", "_depth", "_init"),
+    Decorrelator: ("_buffer_x", "_buffer_y"),
+    Isolator: ("_delay", "_fill"),
+    IsolatorPair: ("_isolator",),
+    TrackingForecastMemory: ("_rng", "_bits", "_shift", "_initial"),
+    TFMPair: ("_tfm_x", "_tfm_y"),
+    SeriesPair: ("_stages",),
+    SeriesStream: ("_stages",),
+    LFSR: ("_width", "_seed", "_taps", "_phase"),
+    VanDerCorput: ("_width", "_phase"),
+    Halton: ("_base", "_width", "_phase"),
+    Sobol: ("_dimension", "_width", "_phase"),
+    CounterRNG: ("_width", "_offset"),
+    SystemRNG: ("_width", "_seed"),
+    RotatedView: ("_parent", "_phase", "_period"),
+}
+
+
+class _Unlisted(Exception):
+    """A nested transform or RNG whose exact type has no fingerprint."""
+
+
+def _fingerprint_part(value):
+    if isinstance(value, tuple):
+        return tuple(_fingerprint_part(v) for v in value)
+    if isinstance(value, (PairTransform, StreamTransform, StreamRNG)):
+        fields = _FINGERPRINT_FIELDS.get(type(value))
+        if fields is None:
+            raise _Unlisted
+        return (type(value),) + tuple(
+            _fingerprint_part(getattr(value, f)) for f in fields
+        )
+    return value
+
+
+def _fingerprint(obj) -> Optional[tuple]:
+    """Structural fingerprint of a built-in transform or RNG — equal
+    fingerprints give equal bits — or ``None`` when ``obj`` or any part
+    of it (an aux RNG, a series stage) is a type the fingerprint table
+    does not list, such as a user subclass."""
+    if type(obj) not in _FINGERPRINT_FIELDS:
+        return None
+    try:
+        return _fingerprint_part(obj)
+    except _Unlisted:
+        return None
+
+
 def graph_signature(graph: SCGraph) -> tuple:
     """Structural signature of a graph: equal signatures mean the same
     plan produces the same bits.
 
-    Transform nodes are keyed by the *identity* of their circuit
-    instance (the plan holds a reference, so the id cannot be recycled
-    while the plan is cached); everything else is keyed by value.
+    Transform nodes are keyed by their circuit's structural fingerprint:
+    its exact type and every constructor argument, aux RNGs and series
+    stages included (``_FINGERPRINT_FIELDS``). Structurally equal graphs
+    built apart therefore share one plan, and through it one set of
+    compiled kernels, composed LUTs and RNG window memos; a cache hit
+    may hand back a plan holding the first graph's instances, which give
+    the same bits. A transform with any part whose exact type the table
+    does not list (a user subclass, a custom RNG) is keyed by the
+    *identity* of its instance instead (the plan holds a reference, so
+    the id cannot be recycled while the plan is cached). Everything else
+    is keyed by value.
 
     Raises:
         GraphCompilationError: the graph contains a node kind the engine
@@ -263,7 +338,9 @@ def graph_signature(graph: SCGraph) -> tuple:
         elif isinstance(node, OpNode):
             sig.append(("op", node.name, node.op, node.inputs))
         elif isinstance(node, TransformNode):
-            sig.append(("fsm", node.name, node.inputs, node.port, id(node.transform)))
+            key = _fingerprint(node.transform)
+            sig.append(("fsm", node.name, node.inputs, node.port,
+                        id(node.transform) if key is None else key))
         else:
             raise GraphCompilationError(
                 f"engine cannot compile node {name!r} of kind "
@@ -597,8 +674,12 @@ def compile_graph(
     """Compile ``graph`` into an :class:`ExecutionPlan` (cached).
 
     Two graphs with equal :func:`graph_signature` share one plan — the
-    autofix loop's repeated audits of the same fixed graph hit the cache
-    and recompile nothing.
+    autofix loop's repeated audits of the same fixed graph, and every
+    fresh build of a graph whose transforms are built-in types with
+    equal constructor arguments, hit the cache and recompile nothing.
+    A hit returns the plan compiled from the first such graph, with its
+    transform instances; a transform the fingerprint table does not
+    list (a user subclass) matches only its own instance.
 
     ``optimize`` selects the optimization level: ``True`` (the module
     default, see :func:`repro.engine.optimize.set_default_optimize`)

@@ -68,6 +68,16 @@ __all__ = ["StreamRNG", "PERIOD_CACHE_LIMIT"]
 PERIOD_CACHE_LIMIT = 1 << 16
 
 
+def _cyclic_window(period: np.ndarray, start: int, length: int) -> np.ndarray:
+    """Values ``[start, start + length)`` of the sequence that repeats
+    ``period``: one C-level tile of the rolled period instead of an
+    arange + modulo + gather over the window."""
+    p = period.size
+    phase = start % p
+    rolled = np.roll(period, -phase) if phase else period
+    return np.tile(rolled, -(-length // p))[:length]
+
+
 class StreamRNG(abc.ABC):
     """Abstract deterministic integer-sequence generator.
 
@@ -130,7 +140,7 @@ class StreamRNG(abc.ABC):
         length = check_positive_int(length, name="length")
         period = self._cacheable_period()
         if period is not None and period <= length:
-            return np.tile(self._period_values(), -(-length // period))[:length]
+            return _cyclic_window(self._period_values(), 0, length)
         seq = self._generate(length)
         if seq.shape != (length,):
             raise AssertionError(
@@ -187,19 +197,13 @@ class StreamRNG(abc.ABC):
             # then pay one period, not one tile, per window.
             period = self._period_values()
             if period is not None:
-                p = period.size
-                phase = start % p
+                phase = start % period.size
                 length = stop - start
                 if self._window_memo is not None:
                     memo_phase, memo_length, memo = self._window_memo
                     if memo_phase == phase and memo_length == length:
                         return memo
-                # Cyclic tiling of the rolled period: one C-level tile
-                # instead of an arange + modulo + gather over the window.
-                reps = (length + p - 1) // p
-                window = np.tile(
-                    np.roll(period, -phase) if phase else period, reps
-                )[:length]
+                window = _cyclic_window(period, start, length)
                 window.setflags(write=False)
                 self._window_memo = (phase, length, window)
             elif start == 0:
@@ -239,9 +243,19 @@ class StreamRNG(abc.ABC):
         return self.sequence_window(start, stop) / float(self._modulus)
 
     def integers_window(self, start: int, stop: int, high: int) -> np.ndarray:
-        """Windowed :meth:`integers`: the window rescaled to ``[0, high)``."""
+        """Windowed :meth:`integers`: the window rescaled to ``[0, high)``.
+
+        A window at least one cacheable period long rescales that period
+        and tiles the result, instead of rescaling the window: a tile
+        walk's phase moves on almost every tile (2^18 mod 255 = 4 for an
+        8-bit LFSR), so the window memo would not hit.
+        """
         high = check_positive_int(high, name="high")
-        return (self.sequence_window(start, stop) * high) // self._modulus
+        period = self._period_values()
+        if period is None or period.size > stop - start:
+            return (self.sequence_window(start, stop) * high) // self._modulus
+        start = check_non_negative_int(start, name="start")
+        return _cyclic_window((period * high) // self._modulus, start, stop - start)
 
     def integers(self, length: int, high: int) -> np.ndarray:
         """The sequence rescaled to integers in ``[0, high)``.

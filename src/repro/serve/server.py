@@ -102,7 +102,6 @@ class SCServer:
             str(self._store.root / "obs" / f"serve-{os.getpid()}.jsonl")
             if self._store is not None else None
         )
-        self._graphs: Dict[str, object] = {}
         self._plans: Dict[str, ExecutionPlan] = {}
         # group key -> [(request, future, enqueue_perf_counter)]
         self._groups: Dict[tuple, List[Tuple[ServeRequest, asyncio.Future, float]]] = {}
@@ -176,16 +175,13 @@ class SCServer:
     def _plan_for(self, graph: str) -> ExecutionPlan:
         """The compiled plan for a library graph.
 
-        Graph instances are cached per name: ``graph_signature`` keys
-        transform identity by object, so a *fresh* ``build_graph`` call
-        every request would defeat the shared LRU plan cache. One graph
-        instance per name keeps every connection hitting the same
-        (signature, level) entry.
+        Plans are kept per name so that a request costs one dict lookup:
+        resolving it through the shared plan cache would build the graph
+        and hash its structural signature on every request.
         """
         plan = self._plans.get(graph)
         if plan is None:
-            self._graphs[graph] = build_graph(graph)
-            plan = compile_graph(self._graphs[graph])
+            plan = compile_graph(build_graph(graph))
             self._plans[graph] = plan
         return plan
 

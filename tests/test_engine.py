@@ -436,13 +436,27 @@ class TestPlanAndCache:
         info = engine.cache_info()
         assert info["hits"] == 1 and info["misses"] == 1
 
-    def test_transform_identity_prevents_false_sharing(self):
-        # Same node names/wiring but different transform instances must
-        # compile to different plans (seeds differ -> bits differ).
+    def test_transform_fingerprint_prevents_false_sharing(self):
+        # Every seed in the zoo is fixed, so two fresh builds are
+        # structurally equal and share one plan. A build whose
+        # decorrelator differs only in one LFSR seed gets its own plan
+        # and its own bits.
+        from repro.core import Decorrelator
+        from repro.rng import LFSR
+
         engine.clear_cache()
         p1 = engine.compile(build_graph("fsm_zoo"))
-        p2 = engine.compile(build_graph("fsm_zoo"))
-        assert p1 is not p2
+        assert engine.compile(build_graph("fsm_zoo")) is p1
+        reseeded = build_graph("fsm_zoo")
+        deco = Decorrelator(LFSR(8, seed=46), LFSR(8, seed=142), depth=4)
+        for name in ("deco_x", "deco_y"):
+            reseeded.node(name).transform = deco
+        p3 = engine.compile(reseeded)
+        assert p3 is not p1
+        assert not np.array_equal(p3.run(256)["deco_x"], p1.run(256)["deco_x"])
+        assert np.array_equal(
+            p3.run(256)["deco_x"], reseeded.run(256, backend="interpreter")["deco_x"]
+        )
 
     def test_autofix_loop_reuses_plans(self):
         engine.clear_cache()

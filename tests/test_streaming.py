@@ -118,9 +118,11 @@ class TestWindowedRNG:
 
     def test_integers_window_matches(self):
         rng = LFSR(8, seed=9)
-        assert np.array_equal(
-            rng.integers_window(13, 900, 4), rng.integers(900, 4)[13:]
-        )
+        # Windows longer and shorter than the 255-value period, and empty.
+        for start, stop in ((13, 900), (13, 77), (300, 300)):
+            assert np.array_equal(
+                rng.integers_window(start, stop, 4), rng.integers(900, 4)[start:stop]
+            )
 
     def test_window_rejects_reversed_bounds(self):
         with pytest.raises(ValueError):
