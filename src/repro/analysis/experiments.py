@@ -750,6 +750,15 @@ def ablation_buffer_depth(n: int = 256, step: int = 4, depths=(2, 4, 8, 16)) -> 
     return _ablation_buffer_depth_merge({"n": n, "step": step, "depths": depths}, payloads)
 
 
+# How many standard deviations a measured fault-sweep error may sit from
+# its exact expectation. One run makes 10-14 such tests (SC and BE at
+# each nonzero rate), and the word errors at low rates are heavy-tailed
+# (a mean over a few hundred words hinges on a handful of high-bit
+# flips), so a 3-sigma band would fail some seeds by chance; flipping at
+# twice the rate still lands far outside 5.
+_FAULT_Z_BOUND = 5.0
+
+
 def fault_tolerance(
     rates=(0.0, 0.001, 0.005, 0.01, 0.05, 0.1), trials: int = 256,
     seed: Optional[int] = None,
@@ -762,8 +771,19 @@ def fault_tolerance(
     rows = [p.as_row() for p in points]
     nonzero = [p for p in points if p.rate > 0]
     checks = {
-        "sc_beats_binary_at_every_rate": all(
-            p.sc_value_error < p.be_value_error for p in nonzero
+        # The claim is about expectations: the measured errors of one
+        # seed's draw are noisy, and at low rates the two lie within a
+        # standard deviation of each other.
+        "sc_beats_binary_in_expectation": all(
+            p.sc_expected_error < p.be_expected_error for p in nonzero
+        ),
+        "errors_match_expectation": all(
+            abs(measured - expected) <= _FAULT_Z_BOUND * sd
+            for p in nonzero
+            for measured, expected, sd in (
+                (p.sc_value_error, p.sc_expected_error, p.sc_error_sd),
+                (p.be_value_error, p.be_expected_error, p.be_error_sd),
+            )
         ),
         "graceful_degradation": all(
             b.sc_value_error >= a.sc_value_error - 1e-9

@@ -1,39 +1,42 @@
-"""Multicore tile streaming: the prefix-scanned parallel span scheduler.
+"""The span scheduler: every tiled walk runs here.
 
-:mod:`repro.engine.streaming` walks tiles strictly in order because FSM
-carriers thread state tile-to-tile — one core, no matter how many exist.
-This module lifts the trick that erased the per-bit loop in
-:mod:`repro.kernels.steppers` (compose transition functions
+:mod:`repro.engine.streaming` hands every ``tile_words`` call here, at
+any ``jobs``, and the tile sequence splits into at most ``jobs``
+contiguous spans (:func:`spans_for`). FSM carriers thread state
+tile-to-tile, so this module lifts the trick that erased the per-bit
+loop in :mod:`repro.kernels.steppers` (compose transition functions
 independently, prefix-scan to recover every entry state — Hillis &
 Steele) from *bits* to *tiles*:
 
-1. **Phase 1 — compose.** The tile sequence is split into ``jobs``
-   contiguous spans. Each worker walks its span once, evaluating only
-   the sub-graph feeding the sequential transforms, and folds every
-   transform's chunk into a **state map**
+1. **Phase 1 — compose.** Each span but the last is walked once,
+   evaluating only the sub-graph feeding the sequential transforms, and
+   every transform's chunks fold into a **state map**
    (:mod:`repro.kernels.streaming` composers) — a summary of "entry
    state → exit state" for the whole span, computed *without knowing the
    entry state*. Purely combinational plans (no transform groups) skip
    this phase entirely.
-2. **Phase 2 — scan.** A prefix scan over the ``jobs`` span maps (cheap:
-   one ``apply`` per span per transform group, in the parent) yields
-   every span's entry state for every carrier.
-3. **Phase 3 — evaluate.** All spans run in parallel through the same
-   fused tile walk the sequential executor uses, each seeded at its
-   scanned entry states. Workers return popcount/overlap accumulator
-   partials and span-local word buffers for kept nodes; the parent
-   merges them **in span order** — integer summation, so the totals are
-   the sequential totals and every derived float is identical.
+2. **Phase 2 — scan.** A prefix scan over the span maps (cheap: one
+   ``apply`` per span per transform group, in the parent) yields every
+   span's entry state for every carrier.
+3. **Phase 3 — evaluate.** Every span runs through the fused tile walk,
+   seeded at its scanned entry states, writing kept words at absolute
+   offsets into full-length buffers. Accumulator partials merge **in
+   span order** — integer summation, so every derived float equals a
+   one-span walk's.
 
 Transforms whose inputs depend on other transforms' outputs (e.g.
 ``fsm_zoo``'s isolator downstream of the synchronizer) are handled by
 **waves**: phase 1 repeats per dependency depth, with already-resolved
 carriers evaluated at their scanned entry states while the next wave's
-maps compose. Plans containing a transform without a composer (series
-compositions) and single-tile streams fall back to the sequential walk
-— silently, because the results are identical either way.
+maps compose.
 
-Workers come from the **persistent pool** (:mod:`repro.engine.pool`):
+``jobs=1``, a single-tile stream and a plan with a transform that does
+not compose (series compositions) are **one span**: walked in-process
+from the carriers' initial states, traced as ``engine.stream`` with no
+``engine.parallel.*`` span. At ``jobs > 1`` that counts
+``engine.parallel.fallback.single_span`` or ``.series``.
+
+Spans come from the **persistent pool** (:mod:`repro.engine.pool`):
 long-lived forked processes that keep plan, kernel, and sequence caches
 warm across calls, receive the walk plan by pickle at most once
 (token-keyed worker cache), and write kept nodes' packed words straight
@@ -52,8 +55,9 @@ parallelism. Bit-identity of the two lanes is enforced by
 
 from __future__ import annotations
 
+import contextlib
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,9 +65,9 @@ from ..arith._coerce import broadcast_pair
 from ..bitstream.packed import unpack_bits, pack_bits_unchecked
 from ..bitstream.streaming import (
     OverlapAccumulator,
-    TileAssembler,
     ValueAccumulator,
     tile_bounds,
+    tile_count,
 )
 from ..kernels.streaming import make_pair_carrier, make_pair_composer
 from ..obs import counter_add
@@ -73,9 +77,9 @@ from .plan import ExecutionPlan, FusedChain
 from .pool import SharedSink, pool_call
 from .streaming import (
     _CompiledChain,
-    _execute,
     _expand_aliases,
     _keep_and_exposed,
+    _make_carriers,
     _make_sources,
     _propagate_rows,
     _prune,
@@ -134,14 +138,15 @@ def spans_for(length: int, tile_words: int, jobs: int) -> List[Tuple[int, int]]:
     """Split the tile sequence into ≤ ``jobs`` contiguous, balanced
     spans of whole tiles; returns absolute ``(start_bit, stop_bit)``
     per span (span starts are tile starts, hence word-aligned)."""
-    bounds = list(tile_bounds(length, tile_words))
-    k = max(1, min(jobs, len(bounds)))
-    base, extra = divmod(len(bounds), k)
+    tiles = tile_count(length, tile_words)
+    k = max(1, min(jobs, tiles))
+    base, extra = divmod(tiles, k)
+    tile_bits = tile_words * 64
     spans: List[Tuple[int, int]] = []
     index = 0
     for i in range(k):
         count = base + (1 if i < extra else 0)
-        spans.append((bounds[index][0], bounds[index + count - 1][1]))
+        spans.append((index * tile_bits, min((index + count) * tile_bits, length)))
         index += count
     return spans
 
@@ -156,7 +161,7 @@ class _Context:
     __slots__ = (
         "plan", "length", "levels", "rows", "tile_words", "spans",
         "schedule", "needs_select", "keep_set", "value_nodes",
-        "want_op_scc", "phase1",
+        "want_op_scc", "phase1", "carriers",
     )
 
 
@@ -166,14 +171,13 @@ class _Context:
 _LOCAL = threading.local()
 
 
-def _span_bounds(span: Tuple[int, int]) -> List[Tuple[int, int]]:
+def _span_bounds(span: Tuple[int, int]) -> Iterator[Tuple[int, int]]:
     """The span's tiles, with absolute stream offsets."""
     start, stop = span
-    ctx = _LOCAL.ctx
-    return [
+    return (
         (start + s, start + e)
-        for s, e in tile_bounds(stop - start, ctx.tile_words)
-    ]
+        for s, e in tile_bounds(stop - start, _LOCAL.ctx.tile_words)
+    )
 
 
 def _seeded_carriers(
@@ -276,9 +280,8 @@ def _phase1_compose(
 
 
 class _SpanSink:
-    """A kept node's words for one span (the parallel counterpart of
-    :class:`~repro.bitstream.streaming.TileAssembler`, covering only the
-    span's word range)."""
+    """A kept node's words for one span, returned by pickle when the
+    pool has no shared segments to write into."""
 
     __slots__ = ("words", "_w0")
 
@@ -295,10 +298,8 @@ class _SpanSink:
 def _phase3_task(
     span_index: int, entries: Dict[int, Any], sink_blocks=None
 ) -> Tuple[Dict[str, ValueAccumulator], Dict[str, OverlapAccumulator], Dict[str, np.ndarray]]:
-    """Evaluate one span through the fused tile walk, seeded at the
-    scanned entry states; return accumulator partials + span buffers.
-    With ``sink_blocks`` (pooled dispatch), kept words land directly in
-    the parent's shared segments and the word dict returns empty."""
+    """Evaluate one of several spans, traced as
+    ``engine.parallel.evaluate`` (see :func:`_phase3_evaluate`)."""
     with obs_span("engine.parallel.evaluate", span=span_index):
         return _phase3_evaluate(span_index, entries, sink_blocks)
 
@@ -306,15 +307,19 @@ def _phase3_task(
 def _phase3_evaluate(
     span_index: int, entries: Dict[int, Any], sink_blocks=None
 ) -> Tuple[Dict[str, ValueAccumulator], Dict[str, OverlapAccumulator], Dict[str, np.ndarray]]:
+    """Walk one span from its scanned entry states (one span walks the
+    caller's own carriers); return its accumulator partials. Kept words
+    go to ``sink_blocks``' full-length buffers (segment descriptors when
+    pooled, arrays in-process), or back as span buffers when ``None``
+    (a pool without segments)."""
     ctx = _LOCAL.ctx
     span = ctx.spans[span_index]
-    bounds = _span_bounds(span)
-
-    sources = _make_sources(ctx.plan, ctx.levels)
-    carriers = _seeded_carriers(
-        set(s.group for s in ctx.plan.steps if s.kind == "transform"),
-        span[0], entries,
-    )
+    carriers = ctx.carriers
+    if carriers is None:
+        carriers = _seeded_carriers(
+            set(s.group for s in ctx.plan.steps if s.kind == "transform"),
+            span[0], entries,
+        )
     vacc = {name: ValueAccumulator(ctx.length) for name in ctx.value_nodes}
     sccacc: Dict[str, OverlapAccumulator] = {}
     if ctx.want_op_scc:
@@ -322,41 +327,40 @@ def _phase3_evaluate(
             s.name: OverlapAccumulator(ctx.length)
             for s in ctx.plan.steps if s.kind == "op"
         }
-    if sink_blocks is not None:
-        # Pooled dispatch: spans partition the word range, so every
-        # worker writes its slice of the shared block race-free.
+    if sink_blocks is None:
         sinks: Dict[str, Any] = {
-            name: SharedSink(sink_blocks[name]) for name in ctx.keep_set
-        }
-    else:
-        sinks = {
             name: _SpanSink(ctx.rows[name], span) for name in ctx.keep_set
         }
+    else:
+        # Spans partition the word range, so every span writes its
+        # slice of the shared buffer race-free.
+        sinks = {name: SharedSink(sink_blocks[name]) for name in ctx.keep_set}
     schedule = [
         _CompiledChain(item, ctx.rows) if isinstance(item, FusedChain) else item
         for item in ctx.schedule
     ]
     _walk_tiles(
-        schedule, sources, carriers, bounds,
-        needs_select=ctx.needs_select, vacc=vacc, sccacc=sccacc,
-        writers=sinks,
+        schedule, _make_sources(ctx.plan, ctx.levels), carriers,
+        _span_bounds(span), needs_select=ctx.needs_select, vacc=vacc,
+        sccacc=sccacc, writers=sinks,
     )
-    if sink_blocks is not None:
-        return vacc, sccacc, {}
-    return vacc, sccacc, {name: sink.words for name, sink in sinks.items()}
+    if sink_blocks is None:
+        return vacc, sccacc, {name: sink.words for name, sink in sinks.items()}
+    return vacc, sccacc, {}
 
 
 # ---------------------------------------------------------------------- #
 # Pool plumbing
 # ---------------------------------------------------------------------- #
 
-def _pool_install_ctx(plan: Optional[ExecutionPlan], payload: Optional[dict]) -> None:
+def _pool_install_ctx(plan: Optional[ExecutionPlan], payload: Optional[dict],
+                      schedule: Optional[list] = None, carriers=None) -> None:
     """Span-task installer: build the context from the walk plan (the
     token-cached pickle in a pool worker, the live object in-process)
     plus the per-call payload. ``(None, None)`` clears it at call end.
-    The fused schedule is recomputed here —
-    :meth:`ExecutionPlan.fused_schedule` is deterministic, so shipping
-    the ``exposed`` set is enough."""
+    A pool worker recomputes the (deterministic) fused schedule from
+    ``exposed``; in-process the caller passes its own ``schedule`` and,
+    for one span, its ``carriers``."""
     if plan is None:
         _LOCAL.ctx = None
         return
@@ -367,30 +371,37 @@ def _pool_install_ctx(plan: Optional[ExecutionPlan], payload: Optional[dict]) ->
     ctx.rows = payload["rows"]
     ctx.tile_words = payload["tile_words"]
     ctx.spans = payload["spans"]
-    ctx.schedule = plan.fused_schedule(payload["exposed"])
+    ctx.schedule = (
+        plan.fused_schedule(payload["exposed"]) if schedule is None else schedule
+    )
     ctx.needs_select = payload["needs_select"]
     ctx.keep_set = payload["keep_set"]
     ctx.value_nodes = payload["value_nodes"]
     ctx.want_op_scc = payload["want_op_scc"]
     ctx.phase1 = payload["phase1"]
+    ctx.carriers = carriers
     _LOCAL.ctx = ctx
 
 
-def _run_phases(run_tasks, spans, waves, phase1, algebra, initial_state,
-                sink_blocks) -> List[tuple]:
+def _run_phases(run_tasks, compose, evaluate, spans, phase1, algebra,
+                initial_state, *evaluate_args) -> List[Any]:
     """Drive phases 1–3 through ``run_tasks(task_fn, arglists)`` — the
-    pooled and in-process lanes share this loop, so the scan arithmetic
-    (and therefore the bits) cannot diverge. Phase 1 composes every span
-    but the last: the last span's map would only yield the stream's exit
-    state, which nothing reads."""
+    engine's and the image accelerator's lanes all share this loop, so
+    the scan arithmetic (and therefore the bits) cannot diverge.
+
+    ``phase1`` maps each wave to the ``"groups"`` that
+    ``compose(span, wave, entries)`` folds into ``{group: state_map}``
+    and the earlier ``"carrier_groups"`` it replays from ``entries``.
+    Phase 1 composes every span but the last: the last span's map would
+    only yield the stream's exit state, which nothing reads. Phase 3
+    returns ``evaluate(span, entries, *evaluate_args)`` in span order."""
     span_entries: List[Dict[int, Any]] = [dict() for _ in spans]
-    for w in waves:
-        info = phase1[w]
+    for w, info in phase1.items():
         tasks = [
             (i, w, {g: span_entries[i][g] for g in info["carrier_groups"]})
             for i in range(len(spans) - 1)
         ]
-        span_maps = run_tasks(_phase1_task, tasks)
+        span_maps = run_tasks(compose, tasks)
         with obs_span("engine.parallel.scan", wave=w, spans=len(spans)):
             for g in info["groups"]:
                 state = initial_state[g]
@@ -399,28 +410,60 @@ def _run_phases(run_tasks, spans, waves, phase1, algebra, initial_state,
                     state = algebra[g].apply(maps[g], state)
                     span_entries[i][g] = state
     return run_tasks(
-        _phase3_task,
-        [(i, span_entries[i], sink_blocks) for i in range(len(spans))],
+        evaluate,
+        [(i, span_entries[i], *evaluate_args) for i in range(len(spans))],
     )
 
 
-def _composable(plan: ExecutionPlan, length: int, rows: Dict[str, int]) -> bool:
-    """True when every transform group's state maps compose (the
-    parallel scheduler's precondition); series compositions return
-    ``None`` composers and force the sequential fallback."""
-    seen = set()
+def _composers(plan: ExecutionPlan, length: int, rows: Dict[str, int]):
+    """Every transform group's state-map composer (the scan's algebra),
+    or ``None`` when one does not compose (series compositions)."""
+    composers: Dict[int, Any] = {}
     for s in plan.steps:
-        if s.kind != "transform" or s.group in seen:
+        if s.kind != "transform" or s.group in composers:
             continue
-        seen.add(s.group)
         batch = max(rows[d] for d in s.inputs)
-        if make_pair_composer(s.transform, length, batch) is None:
-            return False
-    return True
+        composer = make_pair_composer(s.transform, length, batch)
+        if composer is None:
+            return None
+        composers[s.group] = composer
+    return composers
+
+
+def _phase1_prescription(plan: ExecutionPlan) -> Dict[int, dict]:
+    """Per wave, in order: which groups compose, which earlier carriers
+    must run, and the sub-graph feeding them."""
+    wave_of, group_inputs = plan_waves(plan)
+    step_port_names = {
+        (s.group, s.port): s.name for s in plan.steps if s.kind == "transform"
+    }
+    phase1: Dict[int, dict] = {}
+    for w in sorted(set(wave_of.values())):
+        wave_groups = [g for g, wv in wave_of.items() if wv == w]
+        targets = set()
+        for g in wave_groups:
+            targets.update(group_inputs[g])
+        needed = _ancestors(plan, targets)
+        carrier_groups = [
+            g for g, wv in wave_of.items()
+            if wv < w and any(
+                step_port_names[(g, p)] in needed for p in (0, 1)
+            )
+        ]
+        phase1[w] = {
+            "groups": wave_groups,
+            "carrier_groups": carrier_groups,
+            "needed": needed,
+            "needs_select": any(
+                s.kind == "op" and s.op == "scaled_add" and s.name in needed
+                for s in plan.steps
+            ),
+        }
+    return phase1
 
 
 # ---------------------------------------------------------------------- #
-# The three-phase scheduler
+# The span scheduler
 # ---------------------------------------------------------------------- #
 
 def _parallel_stream_execute(
@@ -435,177 +478,132 @@ def _parallel_stream_execute(
     want_op_scc: bool,
     jobs: int,
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray], Dict[str, np.ndarray], int]:
-    """Parallel counterpart of
-    :func:`repro.engine.streaming._execute`'s tiled walk — same return tuple,
-    bit-/float-identical results, spans evaluated across a worker pool.
-    Falls back to the sequential walk when there is nothing to
-    parallelise (a single span) or a carrier does not compose."""
-    # Optimizer integration mirrors the sequential walk: pick the
-    # optimized schedule (or its raw twin when overrides split a source
-    # merge), resolve keep names to schedule representatives, prune to
-    # the keep cone for words-only calls, and expand aliases back at the
-    # merge tail. Workers then only ever see the walk plan.
+    """Every tiled walk: :func:`repro.engine.streaming._execute` for
+    ``tile_words`` calls, with its return tuple. One span walks
+    in-process, traced as ``engine.stream``; several spans run the three
+    phases on the pool, or in-process when the pool declines."""
+    # Optimizer integration: pick the optimized schedule (or its raw
+    # twin when overrides split a source merge), resolve keep names to
+    # schedule representatives, prune to the keep cone for words-only
+    # calls, and expand aliases back at the end. Span tasks only ever
+    # see the walk plan.
     src_plan = plan
     exec_plan = plan.for_execution(levels)
     rows = _propagate_rows(exec_plan, levels)
     spans = spans_for(length, tile_words, jobs)
-
-    def _sequential():
-        return _execute(
-            src_plan, length, levels=levels, keep=keep, tile_words=tile_words,
-            fuse=fuse, want_values_all=want_values_all,
-            want_op_scc=want_op_scc,
-        )
-
-    # Silent-by-results fallbacks, loud in `repro stats`: shed decisions
-    # are invisible otherwise (the bits are identical either way).
-    if len(spans) < 2:
+    algebra = _composers(exec_plan, length, rows) if len(spans) > 1 else None
+    if jobs > 1 and algebra is None:
+        # Silent by results, loud in `repro stats`.
         counter_add("engine.parallel.fallback")
-        counter_add("engine.parallel.fallback.single_span")
-        return _sequential()
-    if not _composable(exec_plan, length, rows):
-        counter_add("engine.parallel.fallback")
-        counter_add("engine.parallel.fallback.series")
-        return _sequential()
+        counter_add("engine.parallel.fallback."
+                    + ("series" if len(spans) > 1 else "single_span"))
+        spans = [(0, length)]
+    one_span = algebra is None
 
-    keep_sem, keep_set, value_sem, value_nodes, exposed = _keep_and_exposed(
-        src_plan, exec_plan, keep, want_values_all, want_op_scc
-    )
-    plan = _prune(exec_plan, keep, keep_set, want_values_all, want_op_scc)
-
-    schedule = plan.fused_schedule(exposed if fuse else None)
-    fused_chains = sum(1 for item in schedule if isinstance(item, FusedChain))
-    needs_select = any(
-        s.op == "scaled_add" for s in plan.steps if s.kind == "op"
-    )
-
-    wave_of, group_inputs = plan_waves(plan)
-    waves = sorted(set(wave_of.values()))
-    step_port_names = {
-        (s.group, s.port): s.name for s in plan.steps if s.kind == "transform"
-    }
-
-    # Per-wave phase-1 prescription: which groups compose, which earlier
-    # carriers must run, and the sub-graph feeding them.
-    phase1: Dict[int, dict] = {}
-    for w in waves:
-        wave_groups = [g for g, wv in wave_of.items() if wv == w]
-        targets = set()
-        for g in wave_groups:
-            targets.update(group_inputs[g])
-        needed = _ancestors(plan, targets)
-        carrier_groups = [
-            g for g, wv in wave_of.items()
-            if wv < w and any(
-                step_port_names[(g, p)] in needed for p in (0, 1)
-            )
-        ]
-        wave_needs_select = any(
-            s.kind == "op" and s.op == "scaled_add" and s.name in needed
-            for s in plan.steps
+    with (
+        obs_span("engine.stream", length=length, tile_words=tile_words)
+        if one_span else contextlib.nullcontext()
+    ):
+        # Carriers are built for the *unpruned* schedule, before any
+        # dead-node elimination: a transform without a streaming carrier
+        # must be rejected whether or not the caller's keep set reaches
+        # it. One span walks them; several spans scan from their states.
+        carriers = _make_carriers(exec_plan, length, rows)
+        keep_sem, keep_set, value_sem, value_nodes, exposed = _keep_and_exposed(
+            src_plan, exec_plan, keep, want_values_all, want_op_scc
         )
-        phase1[w] = {
-            "groups": wave_groups,
-            "carrier_groups": carrier_groups,
-            "needed": needed,
-            "needs_select": wave_needs_select,
+        plan = _prune(exec_plan, keep, keep_set, want_values_all, want_op_scc)
+        schedule = plan.fused_schedule(exposed if fuse else None)
+        phase1: Dict[int, dict] = {}
+        initial_state: Dict[int, Any] = {}
+        if not one_span:
+            phase1 = _phase1_prescription(plan)
+            initial_state = {g: c.get_state() for g, c in carriers.items()}
+            counter_add("engine.parallel.spans", len(spans))
+        payload = {
+            "length": length, "levels": levels, "rows": rows,
+            "tile_words": tile_words, "spans": spans,
+            "exposed": exposed if fuse else None,
+            "needs_select": any(
+                s.op == "scaled_add" for s in plan.steps if s.kind == "op"
+            ),
+            "keep_set": keep_set, "value_nodes": value_nodes,
+            "want_op_scc": want_op_scc, "phase1": phase1,
         }
+        total_words = (length + 63) // 64
 
-    group_batch = _group_batches(plan, rows)
-    algebra = {
-        g: make_pair_composer(_group_transform(plan, g), length, group_batch[g])
-        for g in wave_of
-    }
-    initial_state = {
-        g: make_pair_carrier(
-            _group_transform(plan, g), length, group_batch[g]
-        ).get_state()
-        for g in wave_of
-    }
-    counter_add("engine.parallel.spans", len(spans))
+        # Persistent pool: the walk plan is the token-cached context
+        # (pickled to each warm worker at most once); the payload carries
+        # everything else, with the fused schedule recomputed worker-side
+        # from `exposed`. Kept nodes get full-length shared blocks that
+        # span workers fill in place — the zero-copy hand-off.
+        results: Optional[List[tuple]] = None
+        with pool_call(
+            len(spans), context=plan,
+            installer="repro.engine.parallel:_pool_install_ctx",
+            payload=payload,
+        ) as call:
+            if call is not None:
+                counter_add("engine.parallel.pooled")
+                views: Dict[str, np.ndarray] = {}
+                blocks: Optional[Dict[str, Any]] = {}
+                for name in keep_set:
+                    views[name], blocks[name] = call.arena.empty(
+                        (rows[name], total_words), "<u8"
+                    )
+                if any(desc is None for desc in blocks.values()):
+                    blocks = None  # no segments: span buffers by pickle
+                results = _run_phases(
+                    lambda fn, arglists: call.map(
+                        "repro.engine.parallel:" + fn.__name__, arglists
+                    ),
+                    _phase1_task, _phase3_task, spans, phase1, algebra,
+                    initial_state, blocks,
+                )
+                # Copy kept words out before the call ends and its
+                # segments return to the free list for reuse.
+                kept = {name: np.array(view) for name, view in views.items()}
 
-    # Persistent pool: the walk plan is the token-cached context
-    # (pickled to each warm worker at most once); the payload carries
-    # everything else, with the fused schedule recomputed worker-side
-    # from `exposed`. Kept nodes get full-length shared blocks that span
-    # workers fill in place — the zero-copy hand-off.
-    results: Optional[List[tuple]] = None
-    pooled_views: Dict[str, np.ndarray] = {}
-    payload = {
-        "length": length, "levels": levels, "rows": rows,
-        "tile_words": tile_words, "spans": spans,
-        "exposed": exposed if fuse else None, "needs_select": needs_select,
-        "keep_set": keep_set, "value_nodes": value_nodes,
-        "want_op_scc": want_op_scc, "phase1": phase1,
-    }
-    with pool_call(
-        min(jobs, len(spans)), context=plan,
-        installer="repro.engine.parallel:_pool_install_ctx", payload=payload,
-    ) as call:
-        if call is not None:
-            counter_add("engine.parallel.pooled")
-            sink_blocks: Optional[Dict[str, tuple]] = {}
-            total_words = (length + 63) // 64
-            for name in keep_set:
-                view, desc = call.arena.empty((rows[name], total_words), "<u8")
-                if desc is None:  # no segments: span buffers by pickle
-                    sink_blocks = None
-                    pooled_views = {}
-                    break
-                pooled_views[name] = view
-                sink_blocks[name] = desc
-            results = _run_phases(
-                lambda fn, arglists: call.map(
-                    "repro.engine.parallel:" + fn.__name__, arglists
-                ),
-                spans, waves, phase1, algebra, initial_state, sink_blocks,
-            )
-            # Copy kept words out before the call ends and its segments
-            # return to the free list for reuse.
-            pooled_views = {
-                name: np.array(view) for name, view in pooled_views.items()
+        # In-process lane (one span, or the pool declined): the same
+        # installer and span tasks, run here one span after another,
+        # writing kept words straight into the result buffers.
+        if results is None:
+            kept = {
+                name: np.zeros((rows[name], total_words), dtype="<u8")
+                for name in keep_set
             }
-
-    # In-process lane (the pool declined): the same installer and span
-    # tasks, run here one span after another.
-    if results is None:
-        _pool_install_ctx(plan, payload)
-        try:
-            results = _run_phases(
-                lambda fn, arglists: [fn(*args) for args in arglists],
-                spans, waves, phase1, algebra, initial_state, None,
+            _pool_install_ctx(
+                plan, payload, schedule, carriers if one_span else None
             )
-        finally:
-            _pool_install_ctx(None, None)
+            try:
+                results = _run_phases(
+                    lambda fn, arglists: [fn(*args) for args in arglists],
+                    _phase1_task,
+                    _phase3_evaluate if one_span else _phase3_task,
+                    spans, phase1, algebra, initial_state, kept,
+                )
+            finally:
+                _pool_install_ctx(None, None)
 
-    # Ordered merge: accumulator partials sum span by span (integer
-    # addition — the totals are the sequential totals); kept words land
-    # at their spans' word offsets regardless of completion order.
-    vacc = {name: ValueAccumulator(length) for name in value_nodes}
-    sccacc: Dict[str, OverlapAccumulator] = {}
-    if want_op_scc:
-        sccacc = {
-            s.name: OverlapAccumulator(length)
-            for s in plan.steps if s.kind == "op"
-        }
-    assemblers = {name: TileAssembler(rows[name], length) for name in keep_set}
-    for span, (span_vacc, span_sccacc, span_words) in zip(spans, results):
-        for name, acc in span_vacc.items():
-            vacc[name].merge(acc)
-        for name, acc in span_sccacc.items():
-            sccacc[name].merge(acc)
-        for name, words in span_words.items():
-            assemblers[name].write(span[0], words)
+        # Ordered merge: accumulator partials sum span by span onto the
+        # first span's (integer addition — the totals are one walk's
+        # totals); span buffers land at their spans' word offsets.
+        vacc, sccacc, _ = results[0]
+        for span_vacc, span_sccacc, _ in results[1:]:
+            for name, acc in span_vacc.items():
+                vacc[name].merge(acc)
+            for name, acc in span_sccacc.items():
+                sccacc[name].merge(acc)
+        for span, (_, _, span_words) in zip(spans, results):
+            w0 = span[0] // 64
+            for name, words in span_words.items():
+                kept[name][:, w0 : w0 + words.shape[1]] = words
 
-    kept = {}
-    for name in plan.node_order:
-        if name in pooled_views:
-            kept[name] = pooled_views[name]
-        elif name in assemblers:
-            kept[name] = assemblers[name].words
-    ones = {name: acc.ones for name, acc in vacc.items()}
-    op_scc = {name: acc.scc() for name, acc in sccacc.items()}
-    kept, ones, op_scc = _expand_aliases(
-        src_plan, exec_plan, kept, ones, op_scc, keep_sem, value_sem
-    )
-    return kept, ones, op_scc, fused_chains
+        kept = {name: kept[name] for name in plan.node_order if name in kept}
+        ones = {name: acc.ones for name, acc in vacc.items()}
+        op_scc = {name: acc.scc() for name, acc in sccacc.items()}
+        kept, ones, op_scc = _expand_aliases(
+            src_plan, exec_plan, kept, ones, op_scc, keep_sem, value_sem
+        )
+        fused_chains = sum(1 for item in schedule if isinstance(item, FusedChain))
+        return kept, ones, op_scc, fused_chains

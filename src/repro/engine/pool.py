@@ -139,22 +139,6 @@ def _shm_module():
         return None
 
 
-def _untrack(shm) -> None:
-    """Detach a segment from the resource tracker.
-
-    Workers attach to parent-owned segments and exit via ``os._exit``;
-    before Python 3.13 every attach registers with the tracker, which
-    would later unlink segments the parent still owns and warn about
-    leaks. The parent keeps its own create-time registrations (its
-    ``unlink`` balances them)."""
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # noqa: BLE001 — tracker layout varies by version
-        pass
-
-
 class SharedArena:
     """A size-class free list of named shared-memory segments.
 
@@ -167,7 +151,11 @@ class SharedArena:
     parent**; workers attach read/write views by name
     (:func:`attach_view`) and never own anything. :meth:`shutdown`
     unlinks everything — the CI pool-smoke job asserts ``/dev/shm`` holds
-    no ``repro_pool_*`` residue after the suite.
+    no ``repro_pool_*`` residue after the suite. Workers share the
+    parent's resource tracker (started before the first fork), so a
+    parent killed mid-call leaves nothing behind either: the tracker
+    unlinks every segment still registered once the parent and its
+    workers have exited.
     """
 
     __slots__ = ("_free", "_live", "_counter", "_prefix", "_ok",
@@ -295,7 +283,6 @@ def attach_view(desc: tuple) -> np.ndarray:
     if shm is None:
         shm_mod = _shm_module()
         shm = shm_mod.SharedMemory(name=name)
-        _untrack(shm)
         _ATTACHED[name] = shm
     return np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
 
@@ -311,16 +298,16 @@ def unwrap(obj):
 
 
 class SharedSink:
-    """A kept node's assembler writing straight into the parent's shared
-    result segment (the zero-copy counterpart of
-    :class:`repro.engine.parallel._SpanSink`): tile writes land at
-    absolute word offsets, and since spans partition the word range no
-    two workers touch the same bytes."""
+    """A kept node's assembler writing straight into a full-length result
+    buffer — the parent's shared segment, named by its descriptor, on the
+    pooled lane; the array itself (passed as ``desc``) in-process. Tile
+    writes land at absolute word offsets, and since spans partition the
+    word range no two spans touch the same bytes."""
 
     __slots__ = ("_view",)
 
-    def __init__(self, desc: tuple) -> None:
-        self._view = attach_view(desc)
+    def __init__(self, desc) -> None:
+        self._view = unwrap(desc)
 
     def write(self, start: int, tile_words_matrix: np.ndarray) -> None:
         w = start // 64
@@ -549,6 +536,13 @@ class WorkerPool:
     # -- lifecycle ----------------------------------------------------- #
 
     def _spawn(self) -> _Worker:
+        # Workers must share the parent's resource tracker: one forked
+        # before it started would start its own on its first attach, which
+        # unlinks the parent's segments when the worker exits.
+        with contextlib.suppress(Exception):  # no tracker: no segments
+            from multiprocessing import resource_tracker
+
+            resource_tracker.ensure_running()
         parent_conn, child_conn = self._mp.Pipe(duplex=True)
         proc = self._mp.Process(
             target=_worker_main,
@@ -646,10 +640,8 @@ class WorkerPool:
         the call handle. Raises ``pickle.PicklingError`` (and kin) when
         the context or payload cannot travel — callers fall back."""
         token = None
-        ctx_blob = None
         if context is not None:
             token = self._token_for(context)
-            ctx_blob = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
         payload_blob = (
             pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             if payload is not None else None
@@ -663,7 +655,7 @@ class WorkerPool:
             obs_state = (active.anchor, active.spool)
         call = PoolCall(
             self, self._workers[:workers], installer,
-            token, ctx_blob, payload_blob, obs_state, get_default_seed(),
+            token, context, payload_blob, obs_state, get_default_seed(),
         )
         call._prime_all()
         counter_add("engine.pool.calls")
@@ -676,13 +668,14 @@ class PoolCall:
 
     def __init__(self, pool: WorkerPool, workers: List[_Worker],
                  installer: Optional[str], token: Optional[int],
-                 ctx_blob: Optional[bytes], payload_blob: Optional[bytes],
+                 context, payload_blob: Optional[bytes],
                  obs_state, seed) -> None:
         self._pool = pool
         self._workers = list(workers)
         self._installer = installer
         self._token = token
-        self._ctx_blob = ctx_blob
+        self._context = context
+        self._ctx_blob: Optional[bytes] = None
         self._payload_blob = payload_blob
         self._obs_state = obs_state
         self._seed = seed
@@ -697,16 +690,26 @@ class PoolCall:
 
     # -- priming ------------------------------------------------------- #
 
+    def _context_blob(self, worker: _Worker) -> Optional[bytes]:
+        """The pickled context when ``worker`` holds no warm copy, else
+        ``None``; pickled once, at the call's first such worker."""
+        if self._context is None or self._token in worker.tokens:
+            return None
+        if self._ctx_blob is None:
+            self._ctx_blob = pickle.dumps(
+                self._context, protocol=pickle.HIGHEST_PROTOCOL
+            )
+        return self._ctx_blob
+
     def _prime(self, worker: _Worker) -> None:
-        send_ctx = self._token is None or self._token not in worker.tokens
+        blob = self._context_blob(worker)
         if self._token is not None:
             counter_add(
-                "engine.pool.plan.miss" if send_ctx else "engine.pool.plan.hit"
+                "engine.pool.plan.hit" if blob is None else "engine.pool.plan.miss"
             )
         worker.request((
             "call", self._pool._next_seq(), self._obs_state, self._seed,
-            self._installer, self._token,
-            self._ctx_blob if send_ctx else None, self._payload_blob,
+            self._installer, self._token, blob, self._payload_blob,
         ))
         kind, _, *rest = worker.reply()
         if kind == "err":
@@ -718,6 +721,10 @@ class PoolCall:
                 worker.tokens.popitem(last=False)
 
     def _prime_all(self) -> None:
+        for worker in self._workers:
+            # Pickle before the first prime goes out: a context that
+            # cannot travel fails the call while no worker holds it.
+            self._context_blob(worker)
         for index, worker in enumerate(list(self._workers)):
             for attempt in (0, 1):
                 try:

@@ -24,6 +24,11 @@ in constant memory — which is what opens the long-stream regime
    nothing about a node needs retaining beyond a handful of integers.
    Full streams are assembled only for nodes the caller explicitly keeps.
 
+Tiled calls, at any ``jobs``, are driven by the span scheduler
+(:mod:`repro.engine.parallel`): ``jobs=1`` walks the stream as one span,
+in-process and traced as ``engine.stream``; ``jobs > 1`` splits it into
+spans whose carrier entry states come from a prefix scan.
+
 On top of the tile walk sits a **fusion pass**
 (:meth:`~repro.engine.plan.ExecutionPlan.fused_schedule`): runs of
 adjacent packed ops whose intermediates nobody else reads collapse into
@@ -59,7 +64,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -71,9 +76,7 @@ from ..bitstream.streaming import (
     DEFAULT_TILE_WORDS,
     OverlapAccumulator,
     PackedTileSource,
-    TileAssembler,
     ValueAccumulator,
-    tile_bounds,
     tile_count,
 )
 from ..exceptions import GraphCompilationError
@@ -282,7 +285,8 @@ def _keep_and_exposed(
     want_op_scc: bool,
 ) -> Tuple[set, set, set, set, set]:
     """Resolve ``keep`` and derive the value-accumulated and fusion-
-    exposed node sets (shared by the sequential and parallel walks).
+    exposed node sets (shared by the whole-stream tile and the span
+    scheduler).
 
     ``keep`` is validated against the *semantic* (source-graph) names of
     ``plan``; the returned ``keep_set``/``value_nodes``/``exposed`` are
@@ -348,18 +352,14 @@ def _make_sources(
 
 
 def _make_carriers(
-    plan: ExecutionPlan,
-    length: int,
-    rows: Dict[str, int],
-    start: int = 0,
+    plan: ExecutionPlan, length: int, rows: Dict[str, int]
 ) -> Dict[int, PairCarrier]:
-    """One carrier per transform group, positioned at ``start`` (0 for
-    the sequential walk; a span's first bit for parallel spans)."""
+    """One carrier per transform group, at the stream's first bit."""
     carriers: Dict[int, PairCarrier] = {}
     for step in plan.steps:
         if step.kind == "transform" and step.group not in carriers:
             batch = max(rows[d] for d in step.inputs)
-            carrier = make_pair_carrier(step.transform, length, batch, start)
+            carrier = make_pair_carrier(step.transform, length, batch)
             if carrier is None:
                 raise GraphCompilationError(
                     f"transform {step.name!r} ({step.transform.name}) has no "
@@ -405,14 +405,14 @@ def _walk_tiles(
     needs_select: bool,
     vacc: Dict[str, ValueAccumulator],
     sccacc: Dict[str, OverlapAccumulator],
-    writers: Dict[str, TileAssembler],
+    writers: Dict[str, Any],
     arena: Optional[BufferArena] = None,
     retain: Optional[set] = None,
 ) -> Dict[str, np.ndarray]:
     """Pump the given tiles through a compiled schedule — the one inner
-    loop shared by every entry point: tiled walks (the sequential walk
-    and each parallel span worker, :mod:`repro.engine.parallel`) and the
-    batch entry points' whole-stream tile. Tile ``bounds`` carry
+    loop shared by every entry point: each span of a tiled walk
+    (:mod:`repro.engine.parallel`) and the batch entry points'
+    whole-stream tile. Tile ``bounds`` carry
     *absolute* stream offsets, so sources window their RNGs and
     flush-tail carriers count remaining cycles identically in every
     caller.
@@ -527,18 +527,17 @@ def _execute(
     one-shot, ops run unfused (in place into an arena on an optimized
     plan), and each step's ``free_after`` buffers not kept leave the walk
     (back into the arena). Kept nodes are the walk's own buffers.
-    Otherwise tiles of ``tile_words`` words go through the (possibly
-    fused) schedule, across the parallel span scheduler when ``jobs > 1``
-    (a whole-stream tile is one span).
+    Every tiled call, at any ``jobs``, goes to the span scheduler
+    (:func:`repro.engine.parallel._parallel_stream_execute`), which walks
+    ``jobs=1`` as one span.
 
-    Optimizer integration happens here, once for every entry point:
+    Optimizer integration happens once for either walk:
     :meth:`~repro.engine.plan.ExecutionPlan.for_execution` picks the
     optimized schedule or its raw twin (overrides can split a source
     merge), :func:`_prune` applies dead-node elimination, and merged-away
     names are expanded back so callers see every name they asked for.
     """
-    whole = tile_words is None
-    if not whole and jobs > 1:
+    if tile_words is not None:
         from .parallel import _parallel_stream_execute
 
         return _parallel_stream_execute(
@@ -546,72 +545,38 @@ def _execute(
             fuse=fuse, want_values_all=want_values_all,
             want_op_scc=want_op_scc, jobs=jobs,
         )
-    span = (
-        contextlib.nullcontext() if whole
-        else obs_span("engine.stream", length=length, tile_words=tile_words)
+    exec_plan = plan.for_execution(levels)
+    keep_sem, keep_set, value_sem, value_nodes, _ = _keep_and_exposed(
+        plan, exec_plan, keep, want_values_all, want_op_scc
     )
-    with span:
-        exec_plan = plan.for_execution(levels)
-        keep_sem, keep_set, value_sem, value_nodes, exposed = _keep_and_exposed(
-            plan, exec_plan, keep, want_values_all, want_op_scc
+    if not want_values_all:
+        # A batch run's values come from its kept words themselves.
+        value_sem, value_nodes = set(), set()
+    walk_plan = _prune(exec_plan, keep, keep_set, want_values_all, want_op_scc)
+    steps = walk_plan.steps
+    vacc = {name: ValueAccumulator(length) for name in value_nodes}
+    sccacc: Dict[str, OverlapAccumulator] = {}
+    if want_op_scc:
+        sccacc = {s.name: OverlapAccumulator(length) for s in steps if s.kind == "op"}
+    arena = BufferArena() if exec_plan.optimize_level >= 1 else None
+    with obs_span("engine.execute", steps=len(steps), length=length):
+        env = _walk_tiles(
+            list(steps),
+            {s.name: _SequenceSource(levels[s.name], s, arena)
+             for s in steps if s.kind == "source"},
+            {s.group: _OneShotTransform(s.transform)
+             for s in steps if s.kind == "transform"},
+            [(0, length)],
+            needs_select=any(s.op == "scaled_add" for s in steps if s.kind == "op"),
+            vacc=vacc, sccacc=sccacc, writers={}, arena=arena, retain=keep_set,
         )
-        if whole and not want_values_all:
-            # A batch run's values come from its kept words themselves.
-            value_sem, value_nodes = set(), set()
-        if not whole:
-            rows = _propagate_rows(exec_plan, levels)
-            # Carriers are built for the *unpruned* schedule, before any
-            # dead-node elimination: a transform without a streaming
-            # carrier must be rejected whether or not the caller's keep
-            # set reaches it (same contract as the unoptimized path).
-            carriers = _make_carriers(exec_plan, length, rows)
-
-        walk_plan = _prune(exec_plan, keep, keep_set, want_values_all, want_op_scc)
-        steps = walk_plan.steps
-        vacc = {name: ValueAccumulator(length) for name in value_nodes}
-        sccacc: Dict[str, OverlapAccumulator] = {}
-        if want_op_scc:
-            sccacc = {s.name: OverlapAccumulator(length) for s in steps if s.kind == "op"}
-        needs_select = any(s.op == "scaled_add" for s in steps if s.kind == "op")
-
-        if whole:
-            arena = BufferArena() if exec_plan.optimize_level >= 1 else None
-            with obs_span("engine.execute", steps=len(steps), length=length):
-                env = _walk_tiles(
-                    list(steps),
-                    {s.name: _SequenceSource(levels[s.name], s, arena)
-                     for s in steps if s.kind == "source"},
-                    {s.group: _OneShotTransform(s.transform)
-                     for s in steps if s.kind == "transform"},
-                    [(0, length)],
-                    needs_select=needs_select, vacc=vacc, sccacc=sccacc,
-                    writers={}, arena=arena, retain=keep_set,
-                )
-            kept = {name: env[name] for name in walk_plan.node_order if name in keep_set}
-            fused_chains = 0
-        else:
-            schedule = walk_plan.fused_schedule(exposed if fuse else None)
-            fused_chains = sum(1 for item in schedule if isinstance(item, FusedChain))
-            assemblers = {name: TileAssembler(rows[name], length) for name in keep_set}
-            _walk_tiles(
-                [_CompiledChain(item, rows) if isinstance(item, FusedChain) else item
-                 for item in schedule],
-                _make_sources(walk_plan, levels), carriers,
-                tile_bounds(length, tile_words),
-                needs_select=needs_select, vacc=vacc, sccacc=sccacc,
-                writers=assemblers,
-            )
-            kept = {
-                name: assemblers[name].words
-                for name in walk_plan.node_order if name in assemblers
-            }
-
-        ones = {name: acc.ones for name, acc in vacc.items()}
-        op_scc = {name: acc.scc() for name, acc in sccacc.items()}
-        kept, ones, op_scc = _expand_aliases(
-            plan, exec_plan, kept, ones, op_scc, keep_sem, value_sem
-        )
-        return kept, ones, op_scc, fused_chains
+    kept = {name: env[name] for name in walk_plan.node_order if name in keep_set}
+    ones = {name: acc.ones for name, acc in vacc.items()}
+    op_scc = {name: acc.scc() for name, acc in sccacc.items()}
+    kept, ones, op_scc = _expand_aliases(
+        plan, exec_plan, kept, ones, op_scc, keep_sem, value_sem
+    )
+    return kept, ones, op_scc, 0
 
 
 # ---------------------------------------------------------------------- #
@@ -690,13 +655,14 @@ def run_streaming(
         fuse: collapse runs of adjacent packed ops into fused super-steps
             (single pass over the tile, no interior buffers). Never
             changes any bit — only which intermediates exist.
-        jobs: worker processes for the parallel tile scheduler
-            (:mod:`repro.engine.parallel`): tiles are split into
-            contiguous spans whose carrier entry states come from a
-            prefix scan over composed state maps, so results stay
+        jobs: worker processes for the span scheduler
+            (:mod:`repro.engine.parallel`): tiles are split into up to
+            ``jobs`` contiguous spans whose carrier entry states come
+            from a prefix scan over composed state maps, so results stay
             bit-identical to ``jobs=1`` at every tile size. ``1`` (the
-            default) runs the sequential walk; plans whose carriers do
-            not compose (series compositions) silently fall back to it.
+            default) walks the stream as one span in-process; so do
+            single-tile streams and plans whose carriers do not compose
+            (series compositions), silently.
     """
     check_stream_length(length)
     check_tile_words(tile_words)
@@ -734,9 +700,9 @@ def audit_streaming(
     overlap partial sums; the summed integers equal the whole-stream
     counts, so every derived float matches the materialised audit
     exactly. This is what makes N = 2^22 correlation audits (the
-    ``long_stream`` experiment) possible at all. ``jobs > 1`` runs the
-    prefix-scanned parallel tile scheduler; the merged integer partial
-    sums equal the sequential sums, so every derived float is identical.
+    ``long_stream`` experiment) possible at all. ``jobs > 1`` splits the
+    stream into prefix-scanned spans; the merged integer partial sums
+    equal one span's sums, so every derived float is identical.
     """
     check_stream_length(length)
     check_tile_words(tile_words)

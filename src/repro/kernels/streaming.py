@@ -35,7 +35,7 @@ this), which is the prefix-scan precondition the parallel tile scheduler
 (:mod:`repro.engine.parallel`) is built on: each worker composes its
 span's map independently, a scan over the maps recovers every span's
 entry state, then carriers seeded at those states evaluate all spans in
-parallel — bit-identical to the sequential walk.
+parallel — bit-identical to a one-span walk.
 
 Map representations per circuit:
 
@@ -57,7 +57,7 @@ Map representations per circuit:
 ``make_stream_composer`` return ``None``): stage B's inputs depend on
 stage A's outputs, which depend on stage A's unknown entry state, so a
 span's transition function would need the product state space. Plans
-containing them force the sequential fallback — documented in
+containing them walk as one span — documented in
 ``docs/architecture.md``.
 """
 

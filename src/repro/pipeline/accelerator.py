@@ -64,7 +64,7 @@ VARIANTS = ("none", "regeneration", "synchronizer")
 # bytes — large images keep the vectorisation win at bounded memory.
 _ENGINE_CHUNK_BYTES = 64 << 20
 
-# Span-task context for the parallel streaming backend, built by
+# Span-task context for the streaming backend, built by
 # :func:`_pool_install_stream_ctx` — in a pool worker (the accelerator
 # travels by pickle at most once, the patch stack as a shared-memory
 # descriptor) or, on the in-process lane, in the calling thread.
@@ -108,7 +108,7 @@ def _stream_windows(span, tile_words):
 
 def _stream_counts_task(span_index: int) -> np.ndarray:
     """Regeneration pass 1 over one span: blurred 1-count partials
-    (integer sums — span partials merge to the sequential totals)."""
+    (integer sums — span partials merge to one walk's totals)."""
     # Root span in a pool worker: closing it flushes the worker's obs
     # buffers for the parent to collect when the call ends.
     with obs_span("pipeline.stream.counts", span=span_index):
@@ -122,10 +122,12 @@ def _stream_counts_task(span_index: int) -> np.ndarray:
         return counts
 
 
-def _stream_compose_task(span_index: int):
+def _stream_compose_task(span_index: int, wave: int, entries) -> tuple:
     """Synchronizer phase 1 over one span: walk the span's windows once
     (convert + blur + corners) folding both pair FSMs' transitions into
-    state maps, without knowing the span's entry states."""
+    state maps, without knowing the span's entry states. The two FSMs
+    are one wave that reads no other carrier, so ``wave`` and
+    ``entries`` carry nothing here."""
     from ..kernels.streaming import make_pair_composer
 
     with obs_span("pipeline.stream.compose", span=span_index):
@@ -169,10 +171,11 @@ def _detect_window_ones(g00, g11, g01, g10, select, arena) -> np.ndarray:
     return ones
 
 
-def _stream_detect_task(span_index: int, states, regen_counts) -> np.ndarray:
-    """Phase 3 over one span: detect with carriers seeded at the scanned
-    entry states (``states`` is None for carrier-free variants), return
-    the span's edge popcount partials."""
+def _stream_detect_task(span_index: int, entries, regen_counts) -> np.ndarray:
+    """Phase 3 over one span: detect with the pair FSMs' carriers (the
+    synchronizer variant's) seeded at the scanned ``entries`` — empty at
+    the stream's first span, which starts from the initial states — and
+    return the span's edge popcount partials."""
     from ..kernels.streaming import make_pair_carrier
 
     from ..engine.optimize import BufferArena
@@ -187,14 +190,18 @@ def _stream_detect_task(span_index: int, states, regen_counts) -> np.ndarray:
         bt = cfg.blur_tile
         pairs = tiles * (bt - 1) * (bt - 1)
 
-        carriers = (None, None)
-        if states is not None:
+        carriers = ()
+        if acc._detector.uses_pair_transform:
             factory = acc._detector._factory
             carriers = tuple(
                 make_pair_carrier(factory(), n, pairs, span[0]) for _ in range(2)
             )
-            carriers[0].set_state(states[0])
-            carriers[1].set_state(states[1])
+            if any(c is None for c in carriers):
+                raise PipelineError(
+                    "pair transform has no streaming carrier; use backend='auto'"
+                )
+            for c, state in entries.items():
+                carriers[c].set_state(state)
 
         arena = BufferArena()
         edge_ones = np.zeros((pairs,), dtype=np.int64)
@@ -206,7 +213,7 @@ def _stream_detect_task(span_index: int, states, regen_counts) -> np.ndarray:
             else:
                 blurred = acc._blurred_window(patches, start, stop)
             g00, g11, g01, g10 = SCRobertsCross._corners(blurred)
-            if carriers[0] is not None:
+            if carriers:
                 g00, g11 = carriers[0].step(g00, g11)
                 g01, g10 = carriers[1].step(g01, g10)
             select = acc._detector._select_bits_window(start, stop)
@@ -412,157 +419,59 @@ class SCAccelerator:
         ``tile_words * 64`` cycles through convert → blur →
         (regenerate) → detect, accumulating edge popcounts — float-
         identical to :meth:`_process_tiles` with memory O(window) in the
-        stream length.
+        stream length, at any ``jobs``.
 
-        The synchronizer variant's pair FSMs carry state across windows
-        via :mod:`repro.kernels.streaming` carriers; the regeneration
-        variant needs each blurred stream's total 1-count *before* it can
-        re-encode, so it runs two window passes: convert + blur to
-        accumulate counts, then a cheap re-encode + detect pass built
-        from those counts alone — still O(window) memory.
-
-        ``jobs > 1`` splits the time axis into contiguous window spans
-        evaluated across the persistent worker pool
-        (:meth:`_process_tiles_streaming_parallel`); outputs are
-        float-identical at any job count.
+        The windows form ``spans_for(N, tile_words, jobs)`` spans driven
+        by the engine's span scheduler (:func:`repro.engine.parallel.
+        _run_phases`): the regeneration variant's pre-pass sums each
+        blurred stream's 1-count (it must re-encode from the totals),
+        the synchronizer variant's two pair FSMs compose state maps over
+        every span but the last, and detection sums integer edge
+        popcounts in span order. Several spans run on the worker pool
+        (in-process when it declines); one span runs in-process with no
+        compose phase. Detection recomputes the blur, so the synchronizer
+        variant scales ~jobs/2 and the carrier-free variants ~jobs.
         """
-        if jobs > 1:
-            parallel = self._process_tiles_streaming_parallel(
-                patches, tile_words, jobs
-            )
-            if parallel is not None:
-                return parallel
-        from ..bitstream.streaming import tile_bounds
-        from ..engine.optimize import BufferArena
-        from ..kernels.streaming import make_pair_carrier
-
-        cfg = self._config
-        n = self._n
-        tiles = patches.shape[0]
-        bt = cfg.blur_tile
-        pairs = tiles * (bt - 1) * (bt - 1)
-
-        regen_counts = None
-        if cfg.variant == "regeneration":
-            regen_counts = np.zeros((tiles * bt * bt,), dtype=np.int64)
-            for start, stop in tile_bounds(n, tile_words):
-                blurred = self._blurred_window(patches, start, stop)
-                regen_counts += blurred.reshape(tiles * bt * bt, -1).sum(
-                    axis=1, dtype=np.int64
-                )
-            regen_seq = self._regen_rng  # windowed below
-
-        carriers = (None, None)
-        if self._detector.uses_pair_transform:
-            factory = self._detector._factory
-            carriers = tuple(
-                make_pair_carrier(factory(), n, pairs) for _ in range(2)
-            )
-            if any(c is None for c in carriers):
-                raise PipelineError(
-                    "pair transform has no streaming carrier; use backend='auto'"
-                )
-
-        arena = BufferArena()
-        edge_ones = np.zeros((pairs,), dtype=np.int64)
-        for start, stop in tile_bounds(n, tile_words):
-            if cfg.variant == "regeneration":
-                # The re-encoded bits depend only on the pass-one counts
-                # and the regeneration sequence — no need to blur again.
-                window = regen_seq.sequence_window(start, stop)
-                flat = regen_counts[:, None] > window[None, :]
-                blurred = flat.astype(np.uint8).reshape(tiles, bt, bt, stop - start)
-            else:
-                blurred = self._blurred_window(patches, start, stop)
-            g00, g11, g01, g10 = SCRobertsCross._corners(blurred)
-            if carriers[0] is not None:
-                g00, g11 = carriers[0].step(g00, g11)
-                g01, g10 = carriers[1].step(g01, g10)
-            select = self._detector._select_bits_window(start, stop)
-            edge_ones += _detect_window_ones(g00, g11, g01, g10, select, arena)
-        arena.flush_counters()
-        values = edge_ones / float(n)
-        return values.reshape(tiles, bt - 1, bt - 1)
-
-    def _process_tiles_streaming_parallel(
-        self, patches: np.ndarray, tile_words: int, jobs: int
-    ) -> Optional[np.ndarray]:
-        """Span-parallel streaming detection over the time axis, or
-        ``None`` when there is nothing to parallelise (a single span, a
-        non-composing pair transform) — the caller then runs the
-        sequential window walk. When the pool declines, the same span
-        tasks run in-process.
-
-        Same three-phase scan as :mod:`repro.engine.parallel`: the
-        synchronizer variant composes both pair FSMs' state maps per span
-        (phase 1), prefix-scans them for span entry states (phase 2), and
-        detects all spans in parallel (phase 3), summing integer edge
-        popcounts in span order — float-identical to sequential. The
-        blur is recomputed in phase 3 (state maps need the corners, the
-        detector needs them again seeded), so the synchronizer variant
-        scales ~jobs/2; the carrier-free variants skip phase 1 and scale
-        ~jobs (regeneration's two passes each parallelise directly).
-        """
-        from ..engine.parallel import spans_for
+        from ..engine.parallel import _run_phases, spans_for
         from ..kernels.streaming import make_pair_carrier, make_pair_composer
 
-        cfg = self._config
         n = self._n
         tiles = patches.shape[0]
-        bt = cfg.blur_tile
+        bt = self._config.blur_tile
         pairs = tiles * (bt - 1) * (bt - 1)
         spans = spans_for(n, tile_words, jobs)
-        if len(spans) < 2:
-            counter_add("pipeline.stream.fallback")
-            counter_add("pipeline.stream.fallback.single_span")
-            return None
-
-        sync = self._detector.uses_pair_transform
+        phase1 = {}
         algebra = initial = None
-        if sync:
+        if len(spans) > 1 and self._detector.uses_pair_transform:
             factory = self._detector._factory
-            algebra = tuple(
-                make_pair_composer(factory(), n, pairs) for _ in range(2)
-            )
+            algebra = tuple(make_pair_composer(factory(), n, pairs) for _ in range(2))
             if any(a is None for a in algebra):
+                spans = [(0, n)]
                 counter_add("pipeline.stream.fallback")
                 counter_add("pipeline.stream.fallback.series")
-                return None
-            initial = tuple(
-                make_pair_carrier(factory(), n, pairs).get_state()
-                for _ in range(2)
-            )
+            else:
+                initial = tuple(
+                    make_pair_carrier(factory(), n, pairs).get_state()
+                    for _ in range(2)
+                )
+                phase1 = {0: {"groups": (0, 1), "carrier_groups": ()}}
+        elif len(spans) == 1 and jobs > 1:
+            counter_add("pipeline.stream.fallback")
+            counter_add("pipeline.stream.fallback.single_span")
 
         def _phases(run_tasks, wrap):
-            # The three-phase body, lane-agnostic: ``run_tasks`` runs a
-            # task function over its arglists on the pool or in-process,
-            # ``wrap`` ships the regeneration counts (a shared segment
-            # descriptor on the pooled lane, identity in-process).
-            regen_counts = None
-            if cfg.variant == "regeneration":
-                partials = run_tasks(
+            # Lane-agnostic: ``run_tasks`` runs a task function over its
+            # arglists on the pool or in-process, ``wrap`` ships the
+            # regeneration counts (a shared segment descriptor on the
+            # pooled lane, identity in-process).
+            shipped = None
+            if self._config.variant == "regeneration":
+                shipped = wrap(sum(run_tasks(
                     _stream_counts_task, [(i,) for i in range(len(spans))]
-                )
-                regen_counts = np.zeros((tiles * bt * bt,), dtype=np.int64)
-                for partial in partials:
-                    regen_counts += partial
-
-            span_states = [None] * len(spans)
-            if sync:
-                span_maps = run_tasks(
-                    _stream_compose_task, [(i,) for i in range(len(spans))]
-                )
-                states = initial
-                for i, maps in enumerate(span_maps):
-                    span_states[i] = states
-                    states = tuple(
-                        algebra[c].apply(maps[c], states[c]) for c in range(2)
-                    )
-
-            shipped = wrap(regen_counts) if regen_counts is not None else None
-            return run_tasks(
-                _stream_detect_task,
-                [(i, span_states[i], shipped) for i in range(len(spans))],
+                )))
+            return _run_phases(
+                run_tasks, _stream_compose_task, _stream_detect_task, spans,
+                phase1, algebra, initial, shipped,
             )
 
         # Persistent pool: the accelerator is the token-cached context,
@@ -570,7 +479,7 @@ class SCAccelerator:
         # workers keep kernel/sequence caches warm across frames.
         partials = None
         with pool_call(
-            min(jobs, len(spans)), context=self,
+            len(spans), context=self,
             installer="repro.pipeline.accelerator:_pool_install_stream_ctx",
             payload=lambda arena: (arena.wrap(patches), tile_words, spans),
         ) as call:
@@ -594,10 +503,7 @@ class SCAccelerator:
             finally:
                 _pool_install_stream_ctx(None, None)
 
-        edge_ones = np.zeros((pairs,), dtype=np.int64)
-        for partial in partials:
-            edge_ones += partial
-        values = edge_ones / float(n)
+        values = sum(partials) / float(n)
         return values.reshape(tiles, bt - 1, bt - 1)
 
     def process(
@@ -620,7 +526,7 @@ class SCAccelerator:
         ``jobs`` applies to the streaming backend only: time-window spans
         are evaluated across the persistent worker pool with synchronizer
         state handed off via prefix-scanned state maps
-        (:meth:`_process_tiles_streaming_parallel`), float-identical to
+        (:meth:`_process_tiles_streaming`), float-identical to
         ``jobs=1``. The other backends are already one vectorised pass
         and ignore it.
         """

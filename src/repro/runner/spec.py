@@ -297,7 +297,6 @@ def _build_registry() -> Dict[str, ExperimentSpec]:
             shard_fn=_exp.fault_tolerance,
             merge_fn=merge_single,
             fidelities={
-                # trials < 256 makes sc_beats_binary_at_every_rate flaky.
                 "smoke": {"rates": _FAULT_RATES_DEFAULT, "trials": 256},
                 "default": {"rates": _FAULT_RATES_DEFAULT, "trials": 256},
                 "exhaustive": {"rates": _FAULT_RATES_EXHAUSTIVE, "trials": 512},

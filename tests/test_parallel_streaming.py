@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import engine
+from repro import engine, obs
 from repro.core import (
     Decorrelator,
     Desynchronizer,
@@ -143,19 +143,13 @@ class TestParallelIdentity:
             assert np.array_equal(result.values(name), ref.values(name))
 
     def test_series_composition_falls_back_sequentially(self):
-        # SeriesPair has no composer: jobs>1 must silently take the
-        # sequential walk and still produce identical bits.
-        g = SCGraph()
-        g.source("a", 0.7, "vdc")
-        g.source("b", 0.4, "halton3")
-        shared: dict = {}
-        series = SeriesPair([Synchronizer(depth=1), IsolatorPair(delay=2)])
-        g.add(TransformNode("s_x", series, ("a", "b"), 0, shared))
-        g.add(TransformNode("s_y", series, ("a", "b"), 1, shared))
-        g.op("out", "sub", "s_x", "s_y")
-        plan = compile_graph(g)
+        # SeriesPair has no composer: jobs>1 must walk one span (counted)
+        # and still produce identical bits.
+        plan = compile_graph(_series_graph())
         ref = run_batch(plan, 1000)
-        result = run_streaming(plan, 1000, tile_words=2, jobs=4)
+        with obs.observe() as trace:
+            result = run_streaming(plan, 1000, tile_words=2, jobs=4)
+        _assert_one_span_counted(trace, "series")
         for name in plan.node_order:
             assert np.array_equal(result.words(name), ref.words(name)), name
 
@@ -166,6 +160,73 @@ class TestParallelIdentity:
                 run_streaming(plan, 64, jobs=bad)
         with pytest.raises(CircuitConfigurationError):
             audit_streaming(plan, 64, jobs=0)
+
+
+# ---------------------------------------------------------------------- #
+# 2b. One span: jobs=1, a single tile, a series plan
+# ---------------------------------------------------------------------- #
+
+def _series_graph() -> SCGraph:
+    g = SCGraph()
+    g.source("a", 0.7, "vdc")
+    g.source("b", 0.4, "halton3")
+    shared: dict = {}
+    series = SeriesPair([Synchronizer(depth=1), IsolatorPair(delay=2)])
+    g.add(TransformNode("s_x", series, ("a", "b"), 0, shared))
+    g.add(TransformNode("s_y", series, ("a", "b"), 1, shared))
+    g.op("out", "sub", "s_x", "s_y")
+    return g
+
+
+def _assert_one_span_counted(trace, reason: str) -> None:
+    counters = trace.metrics["counters"]
+    assert counters["engine.parallel.fallback"] == 1
+    assert counters[f"engine.parallel.fallback.{reason}"] == 1
+    assert "engine.parallel.spans" not in counters
+    assert not trace.by_name("engine.parallel.evaluate")
+    assert len(trace.by_name("engine.stream.walk")) == 1
+
+
+class TestOneSpan:
+    def test_jobs_one_records_no_parallel_span_or_counter(self):
+        plan = compile_graph(build_graph("fsm_zoo"))
+        with obs.observe() as trace:
+            run_streaming(plan, 1 << 12, tile_words=2)
+            audit_streaming(plan, 1 << 12, tile_words=2)
+        names = [rec["name"] for rec in trace.spans]
+        assert names.count("engine.stream") == 2
+        assert names.count("engine.stream.walk") == 2
+        assert not [n for n in names if n.startswith("engine.parallel")]
+        counters = trace.metrics["counters"]
+        assert not [n for n in counters if n.startswith("engine.parallel")]
+        assert counters["engine.stream.tiles"] == 2 * 32
+
+    def test_single_tile_at_jobs_above_one_is_one_counted_span(self):
+        plan = compile_graph(build_graph("fsm_zoo"))
+        ref = run_batch(plan, 1000)
+        with obs.observe() as trace:
+            result = run_streaming(plan, 1000, tile_words=16, jobs=4)
+        _assert_one_span_counted(trace, "single_span")
+        for name in plan.node_order:
+            assert np.array_equal(result.words(name), ref.words(name)), name
+
+    def test_one_span_keeps_one_full_length_buffer(self):
+        # Kept words land straight in the result buffer: no span buffer
+        # copied into a second full-length one.
+        import tracemalloc
+
+        plan = compile_graph(build_graph("depth8"))
+        length = 1 << 20
+        run_streaming(plan, length, tile_words=16, keep=("src0",))  # warm
+        tracemalloc.start()
+        try:
+            run = run_streaming(plan, length, tile_words=16, keep=("src0",))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        full = run.words("src0").nbytes
+        assert full == length // 8
+        assert peak < 1.5 * full
 
 
 # ---------------------------------------------------------------------- #

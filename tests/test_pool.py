@@ -144,12 +144,17 @@ class TestPoolBitIdentity:
 class TestWarmCaches:
     def test_second_call_hits_worker_plan_cache(self):
         # The same live plan object keeps its cache token: the second
-        # call primes workers without re-sending the context, and the
-        # warm pool forks nothing.
+        # call primes workers without re-sending (or even pickling) the
+        # context, and the warm pool forks nothing.
+        from unittest import mock
+
         plan = compile_graph(build_graph("fsm_zoo"))
         run_streaming(plan, 4096, tile_words=2, jobs=2)  # install token
-        with obs.observe() as trace:
+        with obs.observe() as trace, mock.patch.object(
+            pool_mod.pickle, "dumps", wraps=pool_mod.pickle.dumps
+        ) as dumps:
             run_streaming(plan, 4096, tile_words=2, jobs=2)
+        assert all(call.args[0] is not plan for call in dumps.call_args_list)
         counters = trace.metrics["counters"]
         assert counters.get("engine.parallel.pooled", 0) >= 1
         assert counters.get("engine.pool.plan.hit", 0) >= 1
@@ -354,20 +359,86 @@ class TestFallbacksAndLifecycle:
             "assert run.ones",
             "print(os.getpid())",
         ])
-        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True,
-            text=True, timeout=30,
+            [sys.executable, "-c", code], env=_subprocess_env(),
+            capture_output=True, text=True, timeout=30,
         )
         assert out.returncode == 0, out.stderr
         pid = int(out.stdout.split()[-1])
         pattern = f"/dev/shm/{pool_mod._SHM_PREFIX}_{pid}_*"
         assert glob.glob(pattern) == []
         assert "leaked shared_memory" not in out.stderr
+
+
+# ---------------------------------------------------------------------- #
+# 4b. One resource tracker for the parent and every worker
+# ---------------------------------------------------------------------- #
+
+# Kept-nodes fsm_zoo calls that grow the pool from two workers to three:
+# the third worker is forked after the first calls attached segments.
+_GROW_POOL = "\n".join([
+    "import os",
+    "from repro import engine",
+    "from repro.engine.library import build_graph",
+    "plan = engine.compile(build_graph('fsm_zoo'))",
+    "for jobs in (2, 3):",
+    "    assert engine.run_streaming(plan, 1 << 16, tile_words=64,",
+    "                                jobs=jobs).packed",
+    "print(os.getpid(), flush=True)",
+])
+
+
+def _subprocess_env() -> dict:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+class TestResourceTracker:
+    def test_growing_pool_prints_no_tracker_traceback(self):
+        # A worker's attach used to unregister the parent's segment from
+        # the tracker they share; the parent's unlink then made the
+        # tracker print a KeyError traceback at exit.
+        out = subprocess.run(
+            [sys.executable, "-c", _GROW_POOL], env=_subprocess_env(),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "Traceback" not in out.stderr, out.stderr
+        assert "KeyError" not in out.stderr, out.stderr
+        pid = int(out.stdout.split()[-1])
+        assert glob.glob(f"/dev/shm/{pool_mod._SHM_PREFIX}_{pid}_*") == []
+
+    def test_killed_parent_leaves_no_segments(self):
+        # SIGKILL mid-call: the parent never unlinks, so the segments
+        # must go with the tracker once the parent and its workers exit.
+        code = _GROW_POOL + "\n" + "\n".join([
+            "while True:",
+            "    engine.run_streaming(plan, 1 << 18, tile_words=64, jobs=3)",
+        ])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code], env=_subprocess_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        try:
+            pid = int(proc.stdout.readline())
+            time.sleep(0.5)  # a long kept-nodes call is in flight
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            proc.stdout.close()
+        pattern = f"/dev/shm/{pool_mod._SHM_PREFIX}_{pid}_*"
+        deadline = time.monotonic() + 30.0
+        while glob.glob(pattern) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        left = glob.glob(pattern)
+        for path in left:
+            os.unlink(path)
+        assert left == []
 
 
 # ---------------------------------------------------------------------- #

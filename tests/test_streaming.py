@@ -547,24 +547,38 @@ class TestStreamingPipeline:
 
     @pytest.mark.parametrize("variant", ["none", "regeneration", "synchronizer"])
     def test_parallel_streaming_backend_on_both_lanes(self, variant):
-        # jobs=2 span-parallel detection equals the sequential window
-        # walk, on the warm pool and on the in-process lane alike.
+        # Span-parallel detection equals the batched engine pass, on the
+        # warm pool and on the in-process lane alike (tile_words=4 is one
+        # window, hence one span); phase 1 composes every span but the
+        # last, and only the synchronizer variant composes at all.
         from repro import obs
+        from repro.engine.parallel import spans_for
         from repro.pipeline import AcceleratorConfig, SCAccelerator
         from repro.pipeline.images import blob_image
 
         image = blob_image(12)
         config = AcceleratorConfig(variant=variant, stream_length=192, tile=10)
         acc = SCAccelerator(config)
-        sequential = acc.process(image, backend="streaming", tile_words=1)
-        with obs.observe() as trace:
-            pooled = acc.process(image, backend="streaming", tile_words=1, jobs=2)
-        with in_process_lane():
-            inline = acc.process(image, backend="streaming", tile_words=1, jobs=2)
-        counters = trace.metrics["counters"]
-        assert counters.get("pipeline.stream.pooled", 0) >= 1
-        assert np.array_equal(pooled.output, sequential.output)
-        assert np.array_equal(inline.output, sequential.output)
+        reference = acc.process(image, backend="auto")
+        for jobs in (2, 3):
+            for tile_words in (1, 4):
+                spans = len(spans_for(config.stream_length, tile_words, jobs))
+                composed = spans - 1 if variant == "synchronizer" else 0
+                with obs.observe() as trace:
+                    pooled = acc.process(
+                        image, backend="streaming", tile_words=tile_words, jobs=jobs
+                    )
+                with in_process_lane(), obs.observe() as inline_trace:
+                    inline = acc.process(
+                        image, backend="streaming", tile_words=tile_words, jobs=jobs
+                    )
+                case = (jobs, tile_words)
+                counters = trace.metrics["counters"]
+                assert counters.get("pipeline.stream.pooled", 0) == (spans > 1), case
+                for traced in (trace, inline_trace):
+                    assert len(traced.by_name("pipeline.stream.compose")) == composed, case
+                assert np.array_equal(pooled.output, reference.output), case
+                assert np.array_equal(inline.output, reference.output), case
 
 
 class TestLongStreamSpec:
