@@ -13,12 +13,20 @@ one gather of the previous map through itself, and the binary digits of
 gathers instead of ``k`` full passes. The time loop then advances ``k``
 cycles per lookup: ``length/k + 2k`` python iterations.
 
-How a chunk loop runs depends on the batch. A batch of up to eight
-rows (the tile-streaming and served shapes) is walked one row at a
-time with python ints through a zero-copy ``memoryview`` of the LUT,
-because a numpy call per chunk on a few-row array costs far more
-dispatch than lookup. A larger batch (the paper sweeps, hundreds of
-rows) advances all rows with one fancy-indexed gather per chunk.
+How a chunk loop runs depends on the batch and the row. A batch of up
+to eight rows (the tile-streaming and served shapes) is walked one row
+at a time, because a numpy call per chunk on a few-row array costs far
+more dispatch than lookup. A short row, or one over a wide table, walks
+with python ints through a zero-copy ``memoryview`` of the LUT. A long
+row over a small table (a stream tile: tens of thousands of chunks
+through the synchronizer's or desynchronizer's few states) runs a
+two-level blocked scan instead: one gather per chunk position composes
+every block's full state map at once, a python scan over the block maps
+finds each block's entry state, and one gather per chunk position
+expands those into every chunk's entry state. A larger batch (the paper
+sweeps, hundreds of rows) advances all rows with one fancy-indexed
+gather per chunk. On every path each chunk's entry state is read from
+the same LUT entry, so the paths agree bit for bit.
 
 The trajectory is defined by the tables, and the tables are exact, so
 the outputs gathered from it are bit-identical to the reference loop.
@@ -28,6 +36,7 @@ stepping (the reference the tests compare against).
 
 from __future__ import annotations
 
+import math
 import sys
 from itertools import islice
 from typing import Iterable, Optional, Tuple
@@ -57,6 +66,19 @@ _MAX_CHUNK = 16
 # fsm_zoo runs coalesce a few requests a group: at N=2^12 a batch-2 run
 # takes 1.4 ms this way against 7.1 ms with batch-1-only walks (2 vCPU).
 _ROW_WALK_BATCH = 8
+
+# Rows of at least this many chunks, over tables of at most this many
+# states, walk in blocks (:func:`_walk_blocked`, :func:`_map_blocked`);
+# shorter rows and wider tables keep the python-int walks. Min of 7 on a
+# 2-vCPU VM, python -> blocked at 1024 / 2048 / 32768 chunks: row walks
+# over random fused LUTs, 3 states 0.124 -> 0.090 / 0.214 -> 0.134 /
+# 5.14 -> 1.01 ms, 16 states 0.120 -> 0.137 / 0.234 -> 0.226 / 7.35 ->
+# 3.49 ms (24 states lose below 8192 chunks); the synchronizer's span
+# map 0.102 -> 0.144 / 0.192 -> 0.168 / 4.62 -> 0.78 ms. Stream tiles
+# (2^15 chunks) take the blocks; served rows (<= 512 chunks) and the
+# TFM's 256-state register keep the python walks.
+_BLOCK_WALK_CHUNKS = 2048
+_BLOCK_WALK_STATES = 16
 
 
 def choose_chunk(n_symbols: int, n_states: int) -> int:
@@ -219,7 +241,9 @@ def _chunked_trajectory(
         sym3 = symbols[:, : chunks * k].reshape(batch, chunks, k)
         codes = _chunk_codes(sym3, fsm.n_symbols, k)
         if batch <= _ROW_WALK_BATCH:
-            entry = _walk_rows(comp.ravel(), codes * np.uint32(fsm.n_states), state)
+            entry = _walk_rows(
+                comp.ravel(), codes * np.uint32(fsm.n_states), state, fsm.n_states
+            )
         else:
             entry = np.empty((batch, chunks), dtype=next_state.dtype)
             for c in range(chunks):
@@ -239,7 +263,9 @@ def _chunked_trajectory(
 # ---------------------------------------------------------------------- #
 # Row walks. With a few rows every numpy call in a per-chunk loop moves
 # a few elements, so the walks below run the chunk loop of one row on
-# python ints over zero-copy memoryviews of the composed LUTs instead.
+# python ints over zero-copy memoryviews of the composed LUTs instead,
+# or, for a long row over a small table, in blocks: each numpy call then
+# moves one chunk position of every block.
 # ---------------------------------------------------------------------- #
 
 def _state_half(fused: np.ndarray) -> np.ndarray:
@@ -262,14 +288,76 @@ def _walk_states(lut: np.ndarray, bases: list, state: int) -> Tuple[list, int]:
     return entry, state
 
 
-def _walk_rows(lut: np.ndarray, index: np.ndarray, state: np.ndarray) -> np.ndarray:
+def _walk_rows(
+    lut: np.ndarray, index: np.ndarray, state: np.ndarray, n_states: int,
+) -> np.ndarray:
     """:func:`_walk_states` for each row of flat chunk offsets ``index``
     ``(batch, chunks)``: returns the ``(batch, chunks)`` states entering
-    each chunk and leaves each row's final state in ``state``."""
+    each chunk and leaves each row's final state in ``state``. Long rows
+    over small tables walk in blocks (:func:`_walk_blocked`)."""
     entry = np.empty(index.shape, dtype=lut.dtype)
+    blocked = _blocked(index.shape[1], n_states)
     for b in range(index.shape[0]):
-        entry[b], state[b] = _walk_states(lut, index[b].tolist(), int(state[b]))
+        if blocked:
+            state[b] = _walk_blocked(lut, index[b], int(state[b]), n_states, entry[b])
+        else:
+            entry[b], state[b] = _walk_states(lut, index[b].tolist(), int(state[b]))
     return entry
+
+
+def _blocked(chunks: int, n_states: int) -> bool:
+    """Does a row of ``chunks`` over ``n_states`` states walk in blocks?"""
+    return chunks >= _BLOCK_WALK_CHUNKS and n_states <= _BLOCK_WALK_STATES
+
+
+def _blocks(index: np.ndarray) -> np.ndarray:
+    """A row's whole blocks of flat chunk offsets, ``(size, n_blocks)``:
+    row ``j`` holds chunk ``j`` of every block. ``size`` is about
+    ``sqrt(chunks / 32)`` (at least 8, at most the row), which balances
+    the two levels' ``2 * size`` numpy calls against the scan's
+    ``chunks / size`` python steps; the remainder chunks past the last
+    whole block are left to the caller."""
+    chunks = index.shape[0]
+    size = min(chunks, max(8, math.isqrt(chunks // 32)))
+    n_blocks = chunks // size
+    return index[: size * n_blocks].reshape(n_blocks, size).T.astype(np.intp)
+
+
+def _block_maps(lut: np.ndarray, blocks: np.ndarray, n_states: int) -> np.ndarray:
+    """Level 1: every block's full state map, ``(n_states, n_blocks)`` —
+    column ``b`` holds block ``b``'s exit state for each entry state. One
+    gather per chunk position over all blocks and states at once."""
+    maps = np.arange(n_states, dtype=np.intp)[:, None]
+    for bases in blocks:
+        maps = lut[bases + maps]
+    return maps
+
+
+def _walk_blocked(
+    lut: np.ndarray, index: np.ndarray, state: int, n_states: int,
+    entry: np.ndarray,
+) -> int:
+    """:func:`_walk_states` over one long row of flat chunk offsets, in
+    two levels: fills ``entry`` with the state entering each chunk and
+    returns the state after the last.
+
+    The block maps (:func:`_block_maps`) are scanned in python for each
+    block's entry state, and level 2 expands those inside every block
+    with one gather per chunk position over all blocks. Chunks past the
+    last whole block walk in python. Each chunk's state comes from the
+    same LUT entry as in the plain walk.
+    """
+    blocks = _blocks(index)
+    size, n_blocks = blocks.shape
+    maps = _block_maps(lut, blocks, n_states).T.ravel()
+    starts, state = _walk_states(maps, range(0, maps.size, n_states), state)
+    inner = entry[: blocks.size].reshape(n_blocks, size)
+    st = np.array(starts, dtype=np.intp)
+    for j, bases in enumerate(blocks):
+        inner[:, j] = st
+        st = lut[bases + st]
+    entry[blocks.size:], state = _walk_states(lut, index[blocks.size:].tolist(), state)
+    return state
 
 
 def _walk_block(step: memoryview, bases: Iterable[int], state: int) -> int:
@@ -312,6 +400,22 @@ def _walk_map(lut: np.ndarray, bases: list, row: list) -> list:
     return [image[j] for j in slots]
 
 
+def _map_blocked(
+    lut: np.ndarray, index: np.ndarray, row: np.ndarray, n_states: int,
+) -> list:
+    """:func:`_walk_map` over one long row of flat chunk offsets: the
+    block maps (:func:`_block_maps`) fold pairwise into the map of all
+    whole blocks, which then takes ``row``'s states; the chunks past the
+    last whole block walk in python."""
+    blocks = _blocks(index)
+    maps = _block_maps(lut, blocks, n_states)
+    while maps.shape[1] > 1:
+        even = maps.shape[1] & ~1
+        folded = np.take_along_axis(maps[:, 1:even:2], maps[:, 0:even:2], axis=0)
+        maps = np.concatenate([folded, maps[:, even:]], axis=1)
+    return _walk_map(lut, index[blocks.size:].tolist(), maps[row, 0].tolist())
+
+
 def chunked_outputs(
     fsm: CompiledFSM, x: np.ndarray, y: np.ndarray, state: np.ndarray,
 ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
@@ -322,13 +426,13 @@ def chunked_outputs(
     packed per-step output bits — so the hot loop is a *single* flat
     ``take`` per chunk over the batch axis and the state trajectory is
     never materialised. A batch of up to eight rows instead walks each
-    row's chunk entry states with python ints (:func:`_walk_rows`) and
-    fetches every chunk's output word in one ``take`` afterwards. Chunk
-    codes come straight from the bit planes (:func:`_pair_chunk_codes`),
-    and the packed output words are split into bit matrices with one
-    ``np.unpackbits`` pass. Returns ``(out_x, out_y, final_state)`` over
-    the inputs' full extent (``out_y`` is ``None`` for single-output
-    circuits).
+    row's chunk entry states (:func:`_walk_rows`: python ints, or blocks
+    for a long row) and fetches every chunk's output word in one
+    ``take`` afterwards. Chunk codes come straight from the bit planes
+    (:func:`_pair_chunk_codes`), and the packed output words are split
+    into bit matrices with one ``np.unpackbits`` pass. Returns
+    ``(out_x, out_y, final_state)`` over the inputs' full extent
+    (``out_y`` is ``None`` for single-output circuits).
     """
     next_state = fsm.steady.next_state
     batch, length = x.shape
@@ -348,7 +452,7 @@ def chunked_outputs(
             # Flat index fits uint32: n_codes * n_states <= the table cap.
             index = codes * n_states
             state = state.astype(next_state.dtype)
-            index += _walk_rows(_state_half(fused), index, state)
+            index += _walk_rows(_state_half(fused), index, state, fsm.n_states)
             words = fused.take(index) >> np.uint32(16)
         else:
             words = np.empty((batch, chunks), dtype=np.uint32)
@@ -475,11 +579,13 @@ def compose_chunk(
     scheduling (:mod:`repro.engine.parallel`).
 
     The steady region advances ``k`` symbols per gather through the same
-    composed chunk LUT as the trajectory steppers (a single map walks it
-    with python ints, see :func:`_walk_map`); flush-tail cycles
-    (``remaining <= len(fsm.tails)``) step their per-remaining tail
-    table exactly as :func:`step_chunk` does, so maps composed across a
-    tail-straddling boundary stay exact.
+    composed chunk LUT as the trajectory steppers. A single map walks it
+    with python ints (:func:`_walk_map`), or, for a long row over a small
+    table, composes every block's map with one gather per chunk position
+    and folds the block maps pairwise (:func:`_map_blocked`). Flush-tail
+    cycles (``remaining <= len(fsm.tails)``) step their per-remaining
+    tail table exactly as :func:`step_chunk` does, so maps composed
+    across a tail-straddling boundary stay exact.
 
     Args:
         fsm: compiled transition tables (any ``n_symbols``).
@@ -510,7 +616,11 @@ def compose_chunk(
         sym3 = symbols[:, : chunks * k].reshape(batch, chunks, k)
         codes = _chunk_codes(sym3, fsm.n_symbols, k).astype(np.int64)
         if batch == 1:
-            row = _walk_map(flat, (codes[0] * n_states).tolist(), maps[0].tolist())
+            bases = codes[0] * n_states
+            if _blocked(chunks, n_states):
+                row = _map_blocked(flat, bases, maps[0], n_states)
+            else:
+                row = _walk_map(flat, bases.tolist(), maps[0].tolist())
             maps = np.array([row], dtype=maps.dtype)
         else:
             for c in range(chunks):

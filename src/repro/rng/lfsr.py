@@ -101,6 +101,8 @@ class LFSR(StreamRNG):
         self._width = width
         self._seed = seed
         self._taps = tuple(sorted(set(taps), reverse=True))
+        self._tap_mask = sum(1 << (tap - 1) for tap in self._taps)
+        self._register_mask = (1 << width) - 1
         self._phase = check_non_negative_int(phase, name="phase")
         # Built-in taps are maximal-length; custom taps measure the
         # seed's cycle on first use (see ``period``). ``_long_cycle``
@@ -150,18 +152,18 @@ class LFSR(StreamRNG):
         return steps
 
     def _step(self, state: int) -> int:
-        feedback = 0
-        for tap in self._taps:
-            feedback ^= (state >> (tap - 1)) & 1
-        return ((state << 1) | feedback) & (self.modulus - 1)
+        # The feedback bit is the XOR of the tapped bits: their parity.
+        feedback = (state & self._tap_mask).bit_count() & 1
+        return ((state << 1) | feedback) & self._register_mask
 
     def _generate(self, length: int) -> np.ndarray:
-        total = length + self._phase
-        states = np.empty(total, dtype=np.int64)
+        step = self._step
+        states = []
+        append = states.append
         state = self._seed
-        for i in range(total):
-            states[i] = state
-            state = self._step(state)
+        for _ in range(length + self._phase):
+            append(state)
+            state = step(state)
         # Map non-zero states 1..2^w-1 onto residues 0..2^w-2. The residue
         # 2^w - 1 is never emitted: a real LFSR artifact kept on purpose.
-        return states[self._phase :] - 1
+        return np.array(states[self._phase :], dtype=np.int64) - 1

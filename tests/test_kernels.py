@@ -705,14 +705,161 @@ class TestSingleRowWalks:
             blocks.append(len(bases))
             return walk_block(step, bases, state)
 
-        with mock.patch.object(steppers, "_walk_block", spy):
-            walked = compose_chunk(fsm, identity, symbols)
-        with mock.patch.object(steppers, "_walk_map", _walk_map_per_chunk):
-            assert np.array_equal(walked, compose_chunk(fsm, identity, symbols))
+        # 2^16 symbols is past the block-walk switch: raise it over this
+        # row so the python-int map walk is the one counted.
+        with mock.patch.object(steppers, "_BLOCK_WALK_CHUNKS", chunks + 1):
+            with mock.patch.object(steppers, "_walk_block", spy):
+                walked = compose_chunk(fsm, identity, symbols)
+            with mock.patch.object(steppers, "_walk_map", _walk_map_per_chunk):
+                assert np.array_equal(walked, compose_chunk(fsm, identity, symbols))
         assert len(set(walked[0].tolist())) == persistent
         bound = fsm.n_states * (int(np.log2(chunks)) + 1)
         assert 0 < len(blocks) <= bound, (len(blocks), bound)
         assert sum(blocks) < (persistent + 1) * chunks, (sum(blocks), chunks)
+
+
+# The tables the blocked walks run: every map circuit but the TFM, whose
+# 256 states are over the switch's state cap.
+BLOCK_CIRCUITS = MAP_CIRCUITS[:-1]
+
+
+def _block_lut(draw_case):
+    """``(lut, n_states, n_codes)`` for one drawn table: a random LUT of
+    2-16 states, or a compiled circuit's fused state field or plain
+    composed map (what ``chunked_outputs`` and the trajectory walk)."""
+    kind, index, n, fused, seed = draw_case
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        n_codes = int(rng.integers(1, 300))
+        lut = rng.integers(0, n, (n_codes, n)).astype(np.int16).ravel()
+        return lut, n, n_codes
+    fsm = kernels.compile_transform(BLOCK_CIRCUITS[index])
+    k = kernels.choose_chunk(fsm.n_symbols, fsm.n_states)
+    if fused:
+        stride = 2 if fsm.steady.out_y is not None else 1
+        table = _composed_table(fsm, min(k, 16 // stride), True)
+        return steppers._state_half(table.ravel()), fsm.n_states, table.shape[0]
+    table = _composed_table(fsm, k, False)
+    return table.ravel(), fsm.n_states, table.shape[0]
+
+
+def _block_table():
+    return st.tuples(
+        st.sampled_from(["random", "circuit"]),
+        st.integers(0, len(BLOCK_CIRCUITS) - 1), st.integers(2, 16),
+        st.booleans(), st.integers(0, 2**32 - 1),
+    )
+
+
+def _row_chunks():
+    """Chunk counts on both sides of the switch, most not multiples of
+    the block size."""
+    switch = steppers._BLOCK_WALK_CHUNKS
+    return st.one_of(
+        st.integers(0, 200), st.integers(switch - 40, switch + 600),
+    )
+
+
+class TestBlockedWalks:
+    @given(table=_block_table(), batch=st.integers(1, 8), chunks=_row_chunks(),
+           seed=st.integers(0, 2**32 - 1), low=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_blocked_rows_equal_per_row_walks(self, table, batch, chunks, seed, low):
+        # The row walk (blocked past the switch, or everywhere with the
+        # switch patched down) gives each chunk's entry state and each
+        # row's final state exactly as a plain per-row walk.
+        lut, n, n_codes = _block_lut(table)
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, n_codes, (batch, chunks)).astype(np.uint32)
+        index = codes * np.uint32(n)
+        state = rng.integers(0, n, batch).astype(np.int16)
+        entry = state.copy()
+        switch = 1 if low else steppers._BLOCK_WALK_CHUNKS
+        with mock.patch.object(steppers, "_BLOCK_WALK_CHUNKS", switch), \
+                mock.patch.object(steppers, "_walk_blocked",
+                                  wraps=steppers._walk_blocked) as blocked:
+            walked = steppers._walk_rows(lut, index, state, n)
+        assert walked.dtype == lut.dtype and walked.shape == (batch, chunks)
+        assert blocked.call_count == (batch if chunks >= switch else 0)
+        for b in range(batch):
+            want, final = steppers._walk_states(lut, index[b].tolist(), int(entry[b]))
+            assert walked[b].tolist() == want
+            assert int(state[b]) == final
+
+    @given(index=st.integers(0, len(BLOCK_CIRCUITS) - 1),
+           length=st.one_of(st.integers(0, 400),
+                            st.integers(2048 * 9, 2048 * 9 + 3000)),
+           seed=st.integers(0, 2**32 - 1),
+           spread=st.sampled_from(["identity", "random", "constant"]),
+           remaining_after=st.integers(0, 6), low=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_blocked_compose_equals_per_chunk_walk_and_batched_take(
+        self, index, length, seed, spread, remaining_after, low
+    ):
+        # compose_chunk at batch 1 past the switch (or with it patched
+        # down) folds block maps; it equals the per-chunk map walk with
+        # the switch out of reach and the batch-3 take loop, flush tails
+        # included.
+        fsm = kernels.compile_transform(BLOCK_CIRCUITS[index])
+        rng = np.random.default_rng(seed)
+        n = fsm.n_states
+        symbols = rng.integers(0, fsm.n_symbols, (3, length)).astype(np.uint8)
+        maps = {
+            "identity": np.tile(np.arange(n, dtype=np.int16), (3, 1)),
+            "random": rng.integers(0, n, (3, n)).astype(np.int16),
+            "constant": np.full((3, n), rng.integers(0, n), dtype=np.int16),
+        }[spread]
+        batched = compose_chunk(fsm, maps, symbols, remaining_after=remaining_after)
+        switch = 1 if low else steppers._BLOCK_WALK_CHUNKS
+        for row in range(3):
+            args = (fsm, maps[row:row + 1], symbols[row:row + 1])
+            with mock.patch.object(steppers, "_BLOCK_WALK_CHUNKS", switch):
+                single = compose_chunk(*args, remaining_after=remaining_after)
+            with mock.patch.object(steppers, "_BLOCK_WALK_CHUNKS", 2**62), \
+                    mock.patch.object(steppers, "_walk_map", _walk_map_per_chunk):
+                oracle = compose_chunk(*args, remaining_after=remaining_after)
+            assert single.dtype == oracle.dtype == batched.dtype
+            assert np.array_equal(single, oracle)
+            assert np.array_equal(single, batched[row:row + 1])
+
+    def test_routing_follows_row_length_and_state_count(self):
+        # A 2^18-bit stream tile through Synchronizer(1) walks and
+        # composes in blocks; a 2^12-bit served row and the TFM's
+        # 256-state register keep the python-int walks.
+        spies = {
+            name: mock.MagicMock(wraps=getattr(steppers, name))
+            for name in ("_walk_blocked", "_map_blocked", "_walk_states", "_walk_map")
+        }
+
+        def route(call):
+            for spy in spies.values():
+                spy.reset_mock()
+            with mock.patch.multiple(steppers, **spies):
+                call()
+            return {name: spy.call_count for name, spy in spies.items()}
+
+        rng = np.random.default_rng(11)
+        sync = kernels.compile_transform(Synchronizer(1))
+        tfm = kernels.compile_transform(TrackingForecastMemory(LFSR(8, seed=7)))
+        state = np.zeros(1, dtype=np.int16)
+        tile, served = _bits(rng, 2, 2**18), _bits(rng, 2, 2**12)
+        identity = np.arange(sync.n_states, dtype=np.int16)[None, :]
+
+        calls = route(lambda: kernels.step_chunk(sync, state, tile[:1], tile[1:]))
+        assert calls["_walk_blocked"] == 1 and calls["_map_blocked"] == 0
+        # The block-map scan and the sub-block remainder reuse the walk.
+        assert calls["_walk_states"] == 2
+        calls = route(lambda: compose_chunk(sync, identity, tile[:1]))
+        assert calls["_map_blocked"] == 1 and calls["_walk_blocked"] == 0
+        calls = route(lambda: kernels.step_chunk(sync, state, served[:1], served[1:]))
+        assert calls["_walk_blocked"] == 0 and calls["_walk_states"] == 1
+        calls = route(lambda: compose_chunk(sync, identity, served[:1]))
+        assert calls["_map_blocked"] == 0 and calls["_walk_map"] == 1
+        tfm_identity = np.arange(tfm.n_states, dtype=np.int16)[None, :]
+        calls = route(lambda: kernels.state_trajectory(tfm, tile[:1]))
+        assert calls["_walk_blocked"] == 0 and calls["_walk_states"] == 1
+        calls = route(lambda: compose_chunk(tfm, tfm_identity, tile[:1]))
+        assert calls["_map_blocked"] == 0 and calls["_walk_map"] == 1
 
 
 # ---------------------------------------------------------------------- #

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import engine, obs
+from unittest import mock
+
+from repro import engine, kernels, obs
 from repro.core import (
     Decorrelator,
     Desynchronizer,
@@ -30,6 +32,7 @@ from repro.engine.parallel import plan_waves, spans_for
 from repro.exceptions import CircuitConfigurationError, GraphCompilationError
 from repro.graph.graph import SCGraph
 from repro.graph.nodes import TransformNode
+from repro.kernels import dispatch, steppers
 from repro.kernels.streaming import make_pair_carrier, make_pair_composer
 from repro.rng import LFSR
 from tests.helpers import assert_backends_equivalent, in_process_lane
@@ -160,6 +163,44 @@ class TestParallelIdentity:
                 run_streaming(plan, 64, jobs=bad)
         with pytest.raises(CircuitConfigurationError):
             audit_streaming(plan, 64, jobs=0)
+
+
+class TestPerCycleOracle:
+    """Tiled audits against an oracle that shares none of their chunk
+    walks: the whole-stream audit with every FSM stepped one cycle at a
+    time (``strategy="step"`` never calls ``chunked_outputs``)."""
+
+    @pytest.fixture(scope="class")
+    def stepped(self):
+        plan = compile_graph(long_stream_graph(16))
+        with mock.patch.object(dispatch, "chunked_outputs") as chunked, \
+                kernels.use_backend("auto", strategy="step"):
+            reference = audit(plan, 1 << 16)
+        assert not chunked.called
+        return plan, reference
+
+    # 64-word tiles walk 512 chunks per row (python walks); 4096-word
+    # tiles cover the 1024-word stream in one 8192-chunk row, and the
+    # jobs=2 spans of one 512-word tile compose and evaluate 3640 and
+    # 4096 chunks: both past the block-walk switch.
+    @pytest.mark.parametrize("tile_words, jobs, blocked", [
+        (64, 1, False), (4096, 1, True), (512, 2, True),
+    ])
+    def test_tiled_audit_equals_per_cycle_audit(
+        self, stepped, tile_words, jobs, blocked
+    ):
+        plan, reference = stepped
+        walks = {
+            name: mock.MagicMock(wraps=getattr(steppers, name))
+            for name in ("_walk_blocked", "_map_blocked")
+        }
+        with in_process_lane(), mock.patch.multiple(steppers, **walks):
+            got = audit_streaming(plan, 1 << 16, tile_words=tile_words, jobs=jobs)
+        assert walks["_walk_blocked"].called == blocked
+        assert walks["_map_blocked"].called == (blocked and jobs > 1)
+        assert got.entries == reference.entries
+        assert got.values == reference.values
+        assert got.expected == reference.expected
 
 
 # ---------------------------------------------------------------------- #

@@ -56,6 +56,31 @@ def _indices(high):
     return arrays(np.int64, st.integers(0, 40), elements=st.integers(0, high))
 
 
+def _per_tap_step(state, width, taps):
+    """One Fibonacci LFSR step with the feedback XORed one tap at a time:
+    the oracle for the tap-mask parity step."""
+    feedback = 0
+    for tap in taps:
+        feedback ^= (state >> (tap - 1)) & 1
+    return ((state << 1) | feedback) & ((1 << width) - 1)
+
+
+def _per_tap_outputs(width, seed, taps, phase, length):
+    """``length`` outputs (``state - 1``) after ``phase`` discarded ones."""
+    out, state = [], seed
+    for _ in range(phase + length):
+        out.append(state - 1)
+        state = _per_tap_step(state, width, taps)
+    return np.array(out[phase:], dtype=np.int64)
+
+
+def _per_tap_cycle(width, seed, taps):
+    steps, state = 1, _per_tap_step(seed, width, taps)
+    while state != seed:
+        steps, state = steps + 1, _per_tap_step(state, width, taps)
+    return steps
+
+
 class TestLFSR:
     def test_full_period_covers_all_nonzero_states(self):
         for width in (3, 4, 5, 8):
@@ -154,6 +179,50 @@ class TestLFSR:
     def test_taps_must_include_width(self):
         with pytest.raises(RNGConfigurationError):
             LFSR(width=4, taps=(3, 2))
+
+    @pytest.mark.parametrize("width", sorted(MAXIMAL_TAPS))
+    def test_parity_step_equals_per_tap_step(self, width):
+        # Every built-in width: the tap-mask parity step and the outputs
+        # built from it equal the per-tap XOR, from several seeds and
+        # phases; the narrow registers also walk their whole cycle.
+        taps = MAXIMAL_TAPS[width]
+        top = (1 << width) - 1
+        for seed in sorted({1, 2, top // 3 or 1, top}):
+            lfsr = LFSR(width, seed=seed)
+            state = seed
+            for _ in range(300):
+                assert lfsr._step(state) == _per_tap_step(state, width, taps)
+                state = _per_tap_step(state, width, taps)
+            for phase in (0, 1, 37):
+                got = LFSR(width, seed=seed, phase=phase)._generate(200)
+                assert got.dtype == np.int64
+                assert np.array_equal(
+                    got, _per_tap_outputs(width, seed, taps, phase, 200)
+                )
+        if width <= 12:
+            assert LFSR(width)._cycle_length() == _per_tap_cycle(width, 1, taps) == top
+
+    @pytest.mark.parametrize("width, taps, seed, period", [
+        (4, (4, 2), 1, 6), (4, (4, 2), 3, 6), (5, (5, 4, 3, 2), 1, 31),
+        (6, (6, 3), 5, None), (8, (8, 7, 2), 9, None), (3, (3,), 1, None),
+    ])
+    def test_custom_taps_parity_step_and_cycle(self, width, taps, seed, period):
+        # Custom taps: steps, outputs at several phases and the seed's
+        # cycle length equal the per-tap oracle's.
+        lfsr = LFSR(width, seed=seed, taps=taps)
+        cycle = _per_tap_cycle(width, seed, taps)
+        assert period is None or cycle == period
+        assert lfsr._cycle_length() == cycle == lfsr.period
+        assert lfsr._cycle_length(limit=cycle) == cycle
+        if cycle > 1:
+            assert lfsr._cycle_length(limit=cycle - 1) is None
+        for state in range(1, 1 << width):
+            assert lfsr._step(state) == _per_tap_step(state, width, taps)
+        for phase in (0, 3, cycle + 2):
+            got = LFSR(width, seed=seed, taps=taps, phase=phase)
+            want = _per_tap_outputs(width, seed, taps, phase, 3 * cycle + 5)
+            assert np.array_equal(got._generate(want.size), want)
+            assert np.array_equal(got.sequence(want.size), want)
 
     def test_taps_table_covers_common_widths(self):
         for width in range(2, 25):
