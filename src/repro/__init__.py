@@ -107,7 +107,7 @@ from .rng import LFSR, CounterRNG, Halton, Sobol, StreamRNG, SystemRNG, VanDerCo
 # by all of them but depends on none.
 from . import engine, kernels, obs, runner
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "__version__",

@@ -14,12 +14,18 @@ transition table: its state space (``2**depth`` buffer contents times the
 address phase) is large, but the circuit is a pure *bit relocation* — the
 bit emitted at cycle ``t`` is the one last written to slot
 ``addresses[t]``, or the slot's contents entering the chunk if the chunk
-has not written it yet. :func:`shuffle_reads` finds every slot's hits in
-one pass per slot, points each hit at its source in ``[contents | bits]``
-(a slot's first hit at its entry contents, every later hit at the bit
-its previous hit wrote), and reads the whole output with a single
-``take``. The one-shot kernel runs it from the initial fill, the tile
-carrier (:mod:`repro.kernels.streaming`) from its carried contents.
+has not written it yet. Each chunk's read index points every cycle at
+its source in ``[contents | bits]`` (a slot's first hit at its entry
+contents, every later hit at the bit its previous hit wrote), and one
+``take`` reads the whole output for every batch row. When the address
+RNG has a cacheable period (an LFSR, a counter, a narrow VDC) the index
+comes from the buffer's :class:`_ShuffleCycle`, built once per instance
+from one period of addresses: one period of the index, doubled out to
+the chunk's length, with no address window. Other address sources (Halton, a wide VDC) take
+:func:`shuffle_reads`, which finds every slot's hits in one pass per
+slot over the chunk's address window. The one-shot kernel starts a
+chunk from the initial fill, the tile carrier
+(:mod:`repro.kernels.streaming`) from its carried contents.
 """
 
 from __future__ import annotations
@@ -246,10 +252,102 @@ def shuffle_kernel(buffer, bits: np.ndarray) -> Optional[np.ndarray]:
     if _backend == "reference":
         return None
     counter_add("kernels.dispatch.shuffle")
-    batch, length = bits.shape
-    addresses = buffer.rng.integers(length, buffer.depth)
-    out, _ = shuffle_reads(buffer._initial_buffer(batch), bits, addresses)
+    out, _ = _shuffle_chunk(buffer, buffer._initial_buffer(bits.shape[0]), bits, 0)
     return out
+
+
+def _shuffle_chunk(
+    buffer, contents: np.ndarray, bits: np.ndarray, start: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``buffer`` over the chunk of ``bits`` at stream offset ``start``,
+    entered holding ``contents``: ``(out, contents after)``. Addresses
+    with a cacheable period read through the buffer's
+    :class:`_ShuffleCycle` (built on first use, cached on the instance;
+    an aperiodic RNG caches ``False``, which survives pickling to pool
+    workers); others take :func:`shuffle_reads`' pass per slot over the
+    chunk's address window."""
+    cycle = getattr(buffer, "_shuffle_cycle", None)
+    if cycle is None:
+        period = buffer.rng._period_values()
+        cycle = False if period is None else _ShuffleCycle(
+            (period * buffer.depth) // buffer.rng.modulus, buffer.depth
+        )
+        buffer._shuffle_cycle = cycle
+    if cycle is not False:
+        return cycle.reads(contents, bits, start)
+    counter_add("kernels.shuffle.fallback.aperiodic")
+    addresses = buffer.rng.integers_window(
+        start, start + bits.shape[1], buffer.depth
+    )
+    return shuffle_reads(contents, bits, addresses)
+
+
+class _ShuffleCycle:
+    """Shuffle reads indexed from one period of slot addresses.
+
+    With ``slots[c]`` the slot addressed at phase ``c`` of a period of
+    ``P`` cycles, ``back[c]`` (1 to ``P``) is how many cycles earlier the
+    same slot was last addressed, cyclically. The chunk cycle ``t`` at
+    phase ``c`` reads ``index[t] = t - back[c] + depth`` in the
+    ``[contents | bits]`` pool: the bit written ``back[c]`` cycles
+    earlier. An index below ``depth`` marks the slot's first hit in the
+    chunk, which reads its entry contents (``src = slot``) instead and
+    can only fall in the chunk's first ``P`` cycles. Carried on for one
+    period past the chunk's end, the same index finds each slot's next
+    hit there, and so the chunk's last write to it (or none: an index
+    below ``depth``). ``slots`` is stored twice over, so the head's and
+    the tail's slots are plain slices at any phase.
+    """
+
+    def __init__(self, slots: np.ndarray, depth: int) -> None:
+        period = slots.size
+        # Phases grouped by slot, ascending within a slot; the phase
+        # before a slot's first one is its last one a period earlier.
+        order = np.argsort(slots, kind="stable")
+        grouped = slots[order]
+        firsts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+        prev = np.empty(period, dtype=np.intp)
+        prev[1:] = order[:-1]
+        prev[firsts] = order[np.r_[firsts[1:], period] - 1] - period
+        self._period = period
+        self._depth = depth
+        self._slots = np.tile(slots.astype(np.intp), 2)
+        # base[c] = c - back[c] + depth: phase c's index in the first
+        # period (prev is negative where the slot's previous phase lies a
+        # period earlier).
+        self._base = np.empty(period, dtype=np.intp)
+        self._base[order] = prev + depth
+
+    def reads(
+        self, contents: np.ndarray, bits: np.ndarray, start: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The chunk of ``bits`` at stream offset ``start``:
+        ``(out, contents after)``, as :func:`shuffle_reads` returns."""
+        length = bits.shape[1]
+        period, depth = self._period, self._depth
+        phase = start % period
+        # index[u] = u - back[u % P] + depth - phase, from the start of
+        # the chunk's first period to a period past its end: one period,
+        # then doublings, each adding a whole number of periods to what is
+        # filled (a broadcast add over (rows, P) pays a call per row).
+        size = phase + length + period
+        index = np.empty(size, dtype=np.intp)
+        np.subtract(self._base, phase, out=index[:period])
+        filled = period
+        while filled < size:
+            step = min(filled, size - filled)
+            np.add(index[:step], filled, out=index[filled:filled + step])
+            filled += step
+        src = index[phase:phase + length]
+        after = index[phase + length:phase + length + period]
+        head = min(period, length)
+        first = src[:head] < depth
+        src[:head][first] = self._slots[phase:phase + head][first]
+        tail = (phase + length) % period
+        written = (after >= depth) & (after < length + depth)
+        last = np.arange(depth, dtype=np.intp)
+        last[self._slots[tail:tail + period][written]] = after[written]
+        return _pool_take(contents, bits, src, last)
 
 
 def shuffle_reads(
@@ -264,9 +362,10 @@ def shuffle_reads(
     contents (``src = slot``), every later hit the bit its previous hit
     wrote (``src = previous hit + depth``), and each slot leaves holding
     its last write, or its entry contents if the chunk never addressed
-    it. One pass per slot finds the hits.
+    it. One pass per slot finds the hits: the path for addresses without
+    a cacheable period, and the oracle for :class:`_ShuffleCycle`.
     """
-    batch, length = bits.shape
+    length = bits.shape[1]
     depth = contents.shape[1]
     # The narrowest dtype that holds a slot makes each pass cheaper.
     addresses = addresses.astype(np.min_scalar_type(depth - 1), copy=False)
@@ -278,6 +377,17 @@ def shuffle_reads(
             src[hits[0]] = slot
             src[hits[1:]] = hits[:-1] + depth
             last[slot] = hits[-1] + depth
+    return _pool_take(contents, bits, src, last)
+
+
+def _pool_take(
+    contents: np.ndarray, bits: np.ndarray, src: np.ndarray, last: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Gather the chunk's outputs (``src``) and the contents it leaves
+    (``last``) from ``pool = [contents | bits]``; one index serves every
+    batch row."""
+    batch, length = bits.shape
+    depth = contents.shape[1]
     pool = np.empty((batch, depth + length), dtype=np.uint8)
     pool[:, :depth] = contents
     pool[:, depth:] = bits

@@ -13,9 +13,10 @@ Carrier construction mirrors :func:`repro.kernels.dispatch.is_kernelized`:
 * table-compiled pair FSMs (synchronizer, desynchronizer, flush modes
   included) resume via :func:`repro.kernels.steppers.step_chunk`;
 * the shuffle buffer carries its ``depth``-slot contents plus the stream
-  offset (addresses come from the RNG's window API); each chunk is one
-  :func:`repro.kernels.dispatch.shuffle_reads`, the one-shot kernel's
-  gather;
+  offset; each chunk is one gather of the one-shot kernel's, indexed
+  from the buffer's address cycle at the chunk's offset (or, for an
+  address RNG without a cacheable period, from the RNG's address window
+  by :func:`repro.kernels.dispatch.shuffle_reads`);
 * the isolator carries its last ``delay`` input bits;
 * the TFM carries its estimate register; its auxiliary comparator
   sequence is windowed;
@@ -68,7 +69,7 @@ from typing import Any, Optional, Tuple
 
 import numpy as np
 
-from .dispatch import compiled_kernel, shuffle_reads
+from .dispatch import _shuffle_chunk, compiled_kernel
 from .steppers import compose_chunk, state_trajectory, step_chunk
 from .tables import CompiledFSM
 
@@ -259,9 +260,12 @@ class TablePairComposer(PairComposer):
 # ---------------------------------------------------------------------- #
 
 class ShuffleCarrier(StreamCarrier):
-    """Shuffle buffer with carried slot contents: each chunk is one
-    :func:`repro.kernels.dispatch.shuffle_reads` from the carried
-    contents (the one-shot kernel starts it from the initial fill)."""
+    """Shuffle buffer with carried slot contents and stream offset: each
+    chunk is the one-shot kernel's gather from the carried contents (the
+    kernel starts it from the initial fill), its read index taken from
+    the buffer's address cycle at the chunk's offset when the address RNG
+    has a cacheable period, else from a pass per slot over the RNG's
+    address window."""
 
     def __init__(self, buffer, batch: int, start: int = 0) -> None:
         self._buffer = buffer
@@ -269,13 +273,10 @@ class ShuffleCarrier(StreamCarrier):
         self._offset = int(start)
 
     def step(self, bits: np.ndarray) -> np.ndarray:
-        buffer = self._buffer
-        length = bits.shape[1]
-        addresses = buffer.rng.integers_window(
-            self._offset, self._offset + length, buffer.depth
+        out, self._contents = _shuffle_chunk(
+            self._buffer, self._contents, bits, self._offset
         )
-        self._offset += length
-        out, self._contents = shuffle_reads(self._contents, bits, addresses)
+        self._offset += bits.shape[1]
         return out
 
     def get_state(self) -> np.ndarray:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro import kernels
+from repro import kernels, obs
 from repro.arith.agnostic import CAAdder, CAMax
 from repro.arith.divide import CorDiv
 from repro.bitstream import Bitstream, BitstreamBatch
@@ -33,7 +33,7 @@ from repro.core import (
 from repro.kernels import dispatch, steppers
 from repro.kernels.steppers import _composed_table, chunked_outputs, compose_chunk
 from repro.kernels.streaming import make_stream_carrier, make_stream_composer
-from repro.rng import LFSR, CounterRNG
+from repro.rng import LFSR, CounterRNG, Halton
 
 DEPTHS = (1, 2, 4, 8)
 BATCHES = (1, 7, 256)
@@ -901,11 +901,13 @@ def _full_scan_map(buffer, bits, start):
 # Address sources: an LFSR hits every slot within a few cycles; a
 # width-8 counter dwells on each slot for 256 / depth cycles, so a slot's
 # last write can lie far behind a chunk's end; a width-2 counter never
-# addresses most slots of a deep buffer.
+# addresses most slots of a deep buffer. Halton has no period, so its
+# buffers take the pass per slot; the others read through the cycle.
 ADDRESS_RNGS = {
     "lfsr": lambda: LFSR(8, seed=45),
     "counter8": lambda: CounterRNG(8),
     "counter2": lambda: CounterRNG(2),
+    "halton": lambda: Halton(3, 8),
 }
 
 
@@ -914,21 +916,29 @@ def _cuts(lengths):
 
 
 class TestShuffleReads:
-    @given(depth=st.integers(1, 8),
+    @given(depth=st.integers(1, 32),
            init=st.sampled_from(["half_ones", "zeros", "ones"]),
            batch=st.sampled_from([1, 8, 64]),
            source=st.sampled_from(sorted(ADDRESS_RNGS)),
-           lengths=st.lists(st.integers(1, 300), min_size=1, max_size=6),
+           lengths=st.lists(
+               st.one_of(st.integers(1, 64), st.integers(1, 800)),
+               min_size=1, max_size=6,
+           ),
+           resume=st.integers(1, 5),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_kernel_and_carrier_equal_reference(
-        self, depth, init, batch, source, lengths, seed
+        self, depth, init, batch, source, lengths, resume, seed
     ):
         # The one-shot kernel and a carrier fed the same stream in random
-        # chunks both read what the per-cycle loop reads, and the carrier
-        # leaves each slot holding its last write.
+        # chunks (shorter than the address period, or several periods
+        # long) both read what the per-cycle loop reads, and the carrier
+        # leaves each slot holding its last write. A second carrier that
+        # starts mid-stream from the first one's state, as a span after
+        # the first does, reads the rest of the stream the same way.
         buffer = ShuffleBuffer(ADDRESS_RNGS[source](), depth, init=init)
         cuts = _cuts(lengths)
+        resume = cuts[min(resume, len(lengths) - 1)]
         bits = _bits(np.random.default_rng(seed), batch, cuts[-1])
         reference = buffer._reference_process_stream_bits(bits)
         kernel = dispatch.shuffle_kernel(buffer, bits)
@@ -937,11 +947,64 @@ class TestShuffleReads:
         assert np.array_equal(kernel, _gather_trick_shuffle(buffer, bits))
 
         carrier = make_stream_carrier(buffer, cuts[-1], batch)
-        steps = [carrier.step(bits[:, a:b]) for a, b in zip(cuts, cuts[1:])]
+        steps = []
+        for a, b in zip(cuts, cuts[1:]):
+            if a == resume:
+                resumed = make_stream_carrier(buffer, cuts[-1], batch, start=a)
+                resumed.set_state(carrier.get_state())
+            steps.append(carrier.step(bits[:, a:b]))
         assert np.array_equal(np.concatenate(steps, axis=1), reference)
         written, values = _full_scan_map(buffer, bits, 0)
         final = np.where(written[None, :], values, buffer._initial_buffer(batch))
         assert np.array_equal(carrier.get_state(), final)
+
+        rest = [resumed.step(bits[:, a:b])
+                for a, b in zip(cuts, cuts[1:]) if a >= resume]
+        assert np.array_equal(np.concatenate(rest, axis=1), reference[:, resume:])
+        assert np.array_equal(resumed.get_state(), final)
+
+    @pytest.mark.parametrize("source, periodic", [("lfsr", True), ("halton", False)])
+    def test_address_windows_only_without_a_period(self, source, periodic):
+        # Addresses with a cacheable period come from the buffer's cycle:
+        # neither the kernel nor a carrier asks the RNG for an address
+        # window. Aperiodic ones still do, and tick the fallback counter
+        # once per chunk.
+        buffer = ShuffleBuffer(ADDRESS_RNGS[source](), 4)
+        rng = buffer.rng
+        bits = _bits(np.random.default_rng(23), 2, 700)
+        with mock.patch.object(rng, "integers", wraps=rng.integers) as integers, \
+                mock.patch.object(rng, "integers_window",
+                                  wraps=rng.integers_window) as window, \
+                obs.observe() as trace:
+            dispatch.shuffle_kernel(buffer, bits)
+            carrier = make_stream_carrier(buffer, 700, 2)
+            for a, b in ((0, 100), (100, 600), (600, 700)):
+                carrier.step(bits[:, a:b])
+        asked = integers.call_count + window.call_count
+        fallbacks = trace.metrics["counters"].get("kernels.shuffle.fallback.aperiodic", 0)
+        assert (asked, fallbacks) == ((0, 0) if periodic else (4, 4))
+
+    def test_long_stream_audit_counts_no_fallback(self):
+        # Every decorrelator the library builds is LFSR-addressed: each
+        # tile of a tiled long-stream audit reads both buffers through
+        # their cycles, and no chunk takes the pass per slot.
+        from repro import engine
+        from repro.engine.library import long_stream_graph
+
+        cycle_reads = dispatch._ShuffleCycle.reads
+        calls = []
+
+        def spy(cycle, *args):
+            calls.append(args[1].shape)
+            return cycle_reads(cycle, *args)
+
+        plan = engine.compile(long_stream_graph(16))
+        with mock.patch.object(dispatch._ShuffleCycle, "reads", spy), \
+                obs.observe() as trace:
+            engine.audit_streaming(plan, 1 << 14, tile_words=64)
+        assert calls == [(1, 4096)] * 8
+        counters = trace.metrics["counters"]
+        assert "kernels.shuffle.fallback.aperiodic" not in counters
 
     @given(depth=st.integers(1, 8),
            batch=st.sampled_from([1, 8]),
