@@ -67,14 +67,11 @@ def _cpus() -> int:
 
 
 class _NoSegments:
-    """An arena that hands out no shared segments: kept words and
-    operands travel by pickle."""
+    """An arena that hands out no shared segments: kept words travel by
+    pickle."""
 
     def empty(self, shape, dtype):
         return np.zeros(shape, dtype=dtype), None
-
-    def wrap(self, obj):
-        return obj
 
 
 class _ForkCall:
@@ -94,8 +91,6 @@ def _fork_per_call(jobs, *, context=None, installer=None, payload=None):
     """``pool_call`` as a fresh fork per call: the context is installed
     in the parent and reaches the forked workers by address space."""
     install = _resolve_fn(installer)
-    if callable(payload):
-        payload = payload(_ForkCall.arena)
     install(context, payload)
     executor = ProcessPoolExecutor(
         max_workers=jobs, mp_context=multiprocessing.get_context("fork")

@@ -140,7 +140,7 @@ def check_jobs(value: int, *, name: str = "jobs") -> int:
     """Validate a worker-process count and return it.
 
     The single source of truth for every ``jobs=`` knob (streaming
-    executor, accelerator, runner, CLI): any positive integer is legal —
+    executor, runner, CLI): any positive integer is legal —
     ``1`` means inline sequential execution, and counts beyond the
     available CPUs merely oversubscribe the pool.
 

@@ -12,12 +12,12 @@ generated inputs. The paper's own Table II averages confirm this
 convention — e.g. its 0.992 input SCC for two same-seed LFSRs is exactly
 ``(255/256)^2``, the fraction of pairs where neither stream is constant.)
 
-Measurement runs on the packed backend by default: the FSM transform under
-test is sequential and keeps the unpacked ``(pairs, N)`` matrices, but the
+Measurement runs on the packed backend: the FSM transform under test is
+sequential and keeps the unpacked ``(pairs, N)`` matrices, but the
 before/after SCC and bias reductions pack them and use the word-parallel
 popcount kernels, which produce bit-identical statistics
-(:mod:`repro.bitstream.metrics`). Pass ``backend="unpacked"`` to force the
-byte-per-bit reductions.
+(:mod:`repro.bitstream.metrics`; the tests keep the byte-per-bit
+reduction as their oracle).
 
 Whole-graph sweeps (:func:`sweep_graph`) route through
 :mod:`repro.engine`: the graph is compiled once and evaluated against the
@@ -33,7 +33,7 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from .._validation import check_positive_int
-from ..bitstream.metrics import popcount_words, scc_batch, scc_batch_packed
+from ..bitstream.metrics import popcount_words, scc_batch_packed
 from ..bitstream.packed import pack_bits
 from ..core.fsm import PairTransform
 from ..rng import StreamRNG, make_rng
@@ -133,33 +133,23 @@ def measure_pair_transform(
     n: int = 256,
     step: int = 1,
     design_name: Optional[str] = None,
-    backend: str = "packed",
 ) -> PairSweepResult:
     """Run the Table II measurement for one design / RNG configuration.
 
     Averages SCC before and after the transform and the per-stream value
     bias over the exhaustive level-pair sweep. The transform itself runs
-    on unpacked bits (it is sequential); the metric reductions run packed
-    unless ``backend="unpacked"``. The two backends agree bit for bit.
+    on unpacked bits (it is sequential); the metric reductions run packed.
     """
-    if backend not in ("packed", "unpacked"):
-        raise ValueError(f"backend must be 'packed' or 'unpacked', got {backend!r}")
     rng_x = make_rng(rng_x_spec)
     rng_y = make_rng(rng_y_spec)
     x, y, _, _ = generate_pair_batch(rng_x, rng_y, n=n, step=step)
     out_x, out_y = transform._process_bits(x, y)
-    if backend == "packed":
-        xw, yw = pack_bits(x), pack_bits(y)
-        oxw, oyw = pack_bits(out_x), pack_bits(out_y)
-        input_scc = float(scc_batch_packed(xw, yw, n).mean())
-        output_scc = float(scc_batch_packed(oxw, oyw, n).mean())
-        bias_x = float((popcount_words(oxw) - popcount_words(xw)).mean()) / n
-        bias_y = float((popcount_words(oyw) - popcount_words(yw)).mean()) / n
-    else:
-        input_scc = float(scc_batch(x, y).mean())
-        output_scc = float(scc_batch(out_x, out_y).mean())
-        bias_x = float((out_x.mean(axis=1) - x.mean(axis=1)).mean())
-        bias_y = float((out_y.mean(axis=1) - y.mean(axis=1)).mean())
+    xw, yw = pack_bits(x), pack_bits(y)
+    oxw, oyw = pack_bits(out_x), pack_bits(out_y)
+    input_scc = float(scc_batch_packed(xw, yw, n).mean())
+    output_scc = float(scc_batch_packed(oxw, oyw, n).mean())
+    bias_x = float((popcount_words(oxw) - popcount_words(xw)).mean()) / n
+    bias_y = float((popcount_words(oyw) - popcount_words(yw)).mean()) / n
     return PairSweepResult(
         design=design_name or transform.name,
         rng_x=rng_x_spec,

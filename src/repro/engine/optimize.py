@@ -478,18 +478,12 @@ class BufferArena:
     def take(self, rows: int, words: int) -> np.ndarray:
         """A writable ``(rows, words)`` uint64 buffer (contents
         unspecified — every kernel writes the full buffer)."""
-        return self.take_shape((rows, words), "<u8")
-
-    def take_shape(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        """A writable buffer of arbitrary shape/dtype — the accelerator's
-        unpacked uint8 window scratch recycles through the same pool."""
-        key = (shape, np.dtype(dtype).str)
-        bucket = self._free.get(key)
+        bucket = self._free.get(((rows, words), "<u8"))
         if bucket:
             self.hits += 1
             return bucket.pop()
         self.misses += 1
-        return np.empty(shape, dtype=dtype)
+        return np.empty((rows, words), dtype="<u8")
 
     def release(self, buffer: np.ndarray) -> None:
         """Return a dead buffer to the pool (caller guarantees no live

@@ -383,25 +383,25 @@ def _pool_install_ctx(plan: Optional[ExecutionPlan], payload: Optional[dict],
     _LOCAL.ctx = ctx
 
 
-def _run_phases(run_tasks, compose, evaluate, spans, phase1, algebra,
-                initial_state, *evaluate_args) -> List[Any]:
+def _run_phases(run_tasks, evaluate, spans, phase1, algebra, initial_state,
+                sink_blocks) -> List[Any]:
     """Drive phases 1–3 through ``run_tasks(task_fn, arglists)`` — the
-    engine's and the image accelerator's lanes all share this loop, so
-    the scan arithmetic (and therefore the bits) cannot diverge.
+    pooled and in-process lanes share this loop, so the scan arithmetic
+    (and therefore the bits) cannot diverge.
 
     ``phase1`` maps each wave to the ``"groups"`` that
-    ``compose(span, wave, entries)`` folds into ``{group: state_map}``
-    and the earlier ``"carrier_groups"`` it replays from ``entries``.
-    Phase 1 composes every span but the last: the last span's map would
-    only yield the stream's exit state, which nothing reads. Phase 3
-    returns ``evaluate(span, entries, *evaluate_args)`` in span order."""
+    :func:`_phase1_task` folds into ``{group: state_map}`` and the
+    earlier ``"carrier_groups"`` it replays from its entries. Phase 1
+    composes every span but the last: the last span's map would only
+    yield the stream's exit state, which nothing reads. Phase 3 returns
+    ``evaluate(span, entries, sink_blocks)`` in span order."""
     span_entries: List[Dict[int, Any]] = [dict() for _ in spans]
     for w, info in phase1.items():
         tasks = [
             (i, w, {g: span_entries[i][g] for g in info["carrier_groups"]})
             for i in range(len(spans) - 1)
         ]
-        span_maps = run_tasks(compose, tasks)
+        span_maps = run_tasks(_phase1_task, tasks)
         with obs_span("engine.parallel.scan", wave=w, spans=len(spans)):
             for g in info["groups"]:
                 state = initial_state[g]
@@ -411,7 +411,7 @@ def _run_phases(run_tasks, compose, evaluate, spans, phase1, algebra,
                     span_entries[i][g] = state
     return run_tasks(
         evaluate,
-        [(i, span_entries[i], *evaluate_args) for i in range(len(spans))],
+        [(i, span_entries[i], sink_blocks) for i in range(len(spans))],
     )
 
 
@@ -557,8 +557,8 @@ def _parallel_stream_execute(
                     lambda fn, arglists: call.map(
                         "repro.engine.parallel:" + fn.__name__, arglists
                     ),
-                    _phase1_task, _phase3_task, spans, phase1, algebra,
-                    initial_state, blocks,
+                    _phase3_task, spans, phase1, algebra, initial_state,
+                    blocks,
                 )
                 # Copy kept words out before the call ends and its
                 # segments return to the free list for reuse.
@@ -578,7 +578,6 @@ def _parallel_stream_execute(
             try:
                 results = _run_phases(
                     lambda fn, arglists: [fn(*args) for args in arglists],
-                    _phase1_task,
                     _phase3_evaluate if one_span else _phase3_task,
                     spans, phase1, algebra, initial_state, kept,
                 )

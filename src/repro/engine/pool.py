@@ -1,15 +1,14 @@
 """Persistent execution runtime: warm forked workers + shared-memory arenas.
 
 Every parallel entry point in the repo — the engine's span scheduler
-(:mod:`repro.engine.parallel`), the runner's shard pool
-(:mod:`repro.runner.scheduler`), the accelerator's streaming backend
-(:mod:`repro.pipeline.accelerator`), and the serving layer's over-budget
-shed path (which sheds into ``run_streaming(jobs=stream_jobs)``) —
-dispatches through **one process-wide pool of long-lived forked
-workers**. Forking per call would hand every call cold kernel and
-sequence caches (the at-fork hooks drop every memo on purpose, to rebind
-locks) and pickle every result back; for sweeps of many small-to-medium
-calls that setup would dominate the compute.
+(:mod:`repro.engine.parallel`, which also serves the serving layer's
+over-budget shed path, ``run_streaming(jobs=stream_jobs)``) and the
+runner's shard pool (:mod:`repro.runner.scheduler`) — dispatches through
+**one process-wide pool of long-lived forked workers**. Forking per call
+would hand every call cold kernel and sequence caches (the at-fork hooks
+drop every memo on purpose, to rebind locks) and pickle every result
+back; for sweeps of many small-to-medium calls that setup would dominate
+the compute.
 
 * :func:`get_pool` lazily forks up to ``jobs`` workers the first time a
   parallel call wants them and reuses them for every later call. Workers
@@ -18,24 +17,21 @@ calls that setup would dominate the compute.
   repeats), and kernel tables, RNG sequence windows, and select-tile
   memos accumulate per worker exactly as they would in a serial process.
 * :func:`pool_call` is the dispatch protocol. The caller names a heavy
-  *context object* (an execution plan, an accelerator) that is pickled to
-  each worker at most once, plus a per-call payload; each worker installs
-  both through a module-level *installer* function and then executes
+  *context object* (an execution plan) that is pickled to each worker
+  at most once, plus a per-call payload; each worker installs both
+  through a module-level *installer* function and then executes
   tasks sent as ``("module:function", args)`` messages — one in flight
   per worker, dynamically balanced, with results streamed back in
   completion order. A worker that dies (OOM-killed, segfaulted) is
   respawned, re-primed, and its task retried once.
-* :class:`SharedArena` hands large arrays between parent and workers
+* :class:`SharedArena` hands result buffers from workers to the parent
   zero-copy: named ``multiprocessing.shared_memory`` segments, recycled
   through a size-class free list exactly like the optimizer's
   :class:`~repro.engine.optimize.BufferArena` recycles word buffers.
   Packed uint64 ``keep=`` materialisations are written by span workers
-  *directly into the parent's result segment* (:class:`SharedSink`), and
-  big parent→worker operands (image patch stacks, regeneration counts)
-  travel as segment descriptors (:meth:`SharedArena.wrap` /
-  :func:`unwrap`). When segments are unavailable (no ``/dev/shm``,
-  platform quirks) everything silently degrades to pickle — same bits,
-  one more copy.
+  *directly into the parent's result segment* (:class:`SharedSink`).
+  When segments are unavailable (no ``/dev/shm``, platform quirks) span
+  buffers travel back by pickle — same bits, one more copy.
 
 Fallback rules — ``pool_call`` yields ``None`` and the caller runs the
 same installer and tasks in-process (same bits, no parallelism) when:
@@ -102,14 +98,8 @@ __all__ = [
     "unwrap",
 ]
 
-
-# Arrays below this size travel by pickle even when segments are
-# available — a segment attach round-trip costs more than copying a few
-# KB through a pipe.
-_SHARE_THRESHOLD = 1 << 16
-
 # Per-worker context cache: how many distinct heavy context objects
-# (plans, accelerators) each worker retains between calls.
+# (plans) each worker retains between calls.
 _WORKER_CACHE = 16
 
 # A task whose worker dies is retried on a fresh worker this many times
@@ -226,22 +216,9 @@ class SharedArena:
         view[...] = 0
         return view, ("__shm__", shm.name, tuple(shape), dtype.str)
 
-    def wrap(self, obj):
-        """``obj``, or a segment descriptor when it is a large array —
-        the parent→worker zero-copy path for operands. Non-arrays and
-        small arrays pass through untouched (pickle is cheaper)."""
-        if not isinstance(obj, np.ndarray) or obj.nbytes < _SHARE_THRESHOLD:
-            return obj
-        shm = self.take(obj.nbytes)
-        if shm is None:
-            return obj
-        view = np.ndarray(obj.shape, dtype=obj.dtype, buffer=shm.buf)
-        view[...] = obj
-        return ("__shm__", shm.name, tuple(obj.shape), obj.dtype.str)
-
     def release_all(self) -> None:
         """Return every live segment to the free list (call end: results
-        have been copied out, operands are no longer read)."""
+        have been copied out)."""
         for shm in self._live.values():
             size = 1 << max(12, int(shm.size - 1).bit_length()) \
                 if shm.size & (shm.size - 1) else shm.size
@@ -288,10 +265,9 @@ def attach_view(desc: tuple) -> np.ndarray:
 
 
 def unwrap(obj):
-    """Resolve a :meth:`SharedArena.wrap` result back to its array; pass
-    anything else through unchanged (the task functions call this
-    unconditionally, so the same code serves the pooled and in-process
-    lanes)."""
+    """Resolve a :meth:`SharedArena.empty` descriptor back to its array;
+    pass anything else through unchanged (so the same code serves the
+    pooled and in-process lanes)."""
     if isinstance(obj, tuple) and len(obj) == 4 and obj[0] == "__shm__":
         return attach_view(obj)
     return obj
@@ -937,13 +913,7 @@ def pool_call(jobs: int, *, context=None, installer: Optional[str] = None,
     :class:`PoolCall`, or ``None`` when the caller must run its
     installer and tasks in-process (see the module docstring's fallback
     rules; every reason but ``jobs <= 1`` is counted under
-    ``engine.pool.fallback.*``).
-
-    A *callable* ``payload`` is invoked with the call's
-    :class:`SharedArena` once the call slot is held — the hook for
-    shipping large operands as segment descriptors
-    (``lambda arena: (arena.wrap(big_array), ...)``) instead of pickle
-    bytes; workers resolve them with :func:`unwrap`."""
+    ``engine.pool.fallback.*``)."""
     pool = get_pool(jobs)
     if pool is None:
         yield None
@@ -954,22 +924,16 @@ def pool_call(jobs: int, *, context=None, installer: Optional[str] = None,
         return
     call: Optional[PoolCall] = None
     try:
-        if callable(payload):
-            payload = payload(pool.arena)
         try:
             call = pool.begin_call(min(jobs, pool.size), context, installer,
                                    payload)
         except (pickle.PicklingError, AttributeError, TypeError):
             counter_add("engine.pool.fallback.unpicklable")
-            yield None
-            return
         except PoolTaskError:
             # The context/payload pickled here but failed to unpickle or
             # install worker-side; the in-process lane is known-good,
             # so fall back rather than hard-fail the call.
             counter_add("engine.pool.fallback.prime")
-            yield None
-            return
         yield call
     finally:
         if call is not None:
@@ -978,8 +942,4 @@ def pool_call(jobs: int, *, context=None, installer: Optional[str] = None,
             # Workers flushed span buffers at root-span close; absorb
             # them now.
             collect_children()
-        else:
-            # A callable payload may have wrapped operands into segments
-            # before priming failed; recycle them.
-            pool.arena.release_all()
         pool._busy.release()

@@ -112,64 +112,30 @@ class SCGaussianBlur:
         if h < 3 or w < 3:
             raise PipelineError(f"tile too small for a 3x3 blur: {(h, w)}")
         check_stream_length(n, name="stream length")
-        # One shared select sequence per tile (one select RNG in hardware),
-        # rotated per kernel by select_phase_step positions; the window
-        # helper with the full extent is exactly the one-shot blur.
-        return self._apply_selects(tiles_bits, 0, n, n)
 
-    def blur_tiles_window(
-        self, window_bits: np.ndarray, start: int, stop: int, stream_length: int
-    ) -> np.ndarray:
-        """Blur one time window ``[start, stop)`` of a tile batch.
-
-        ``window_bits`` holds only the window's cycles
-        (``(T, H, W, stop - start)``); the select slots for those cycles
-        come from the RNG's windowed API, with the per-kernel phase
-        rotation applied against the *full* stream length — so
-        concatenating the outputs over all windows is bit-identical to
-        :meth:`blur_tiles` on the whole stream. This is the pipeline's
-        streaming route: memory per call is O(window), not O(N).
-        """
-        window_bits = np.asarray(window_bits, dtype=np.uint8)
-        if window_bits.ndim != 4:
-            raise PipelineError(
-                f"expected (T, H, W, window) streams, got ndim={window_bits.ndim}"
-            )
-        if not 0 <= start <= stop <= stream_length:
-            raise PipelineError(
-                f"window [{start}, {stop}) outside stream of {stream_length}"
-            )
-        return self._apply_selects(window_bits, start, stop, stream_length)
-
-    def _apply_selects(
-        self, tiles_bits: np.ndarray, start: int, stop: int, stream_length: int
-    ) -> np.ndarray:
-        tiles, h, w, span = tiles_bits.shape
-
-        # Gather 3x3 neighbourhoods: (T, H-2, W-2, 9, span).
-        neigh = np.empty((tiles, h - 2, w - 2, 9, span), dtype=np.uint8)
+        # Gather 3x3 neighbourhoods: (T, H-2, W-2, 9, N).
+        neigh = np.empty((tiles, h - 2, w - 2, 9, n), dtype=np.uint8)
         k = 0
         for dy in range(3):
             for dx in range(3):
                 neigh[:, :, :, k, :] = tiles_bits[:, dy : dy + h - 2, dx : dx + w - 2, :]
                 k += 1
 
-        local_time = np.arange(span)
+        # One shared select sequence per tile (one select RNG in hardware),
+        # rotated per kernel by select_phase_step positions.
+        cycles = np.arange(n)
         if self._select_phase_step == 0:
-            slots = self._select_rng.integers_window(start, stop, 16)
-            chosen = WEIGHT_SLOTS[slots]  # (span,) neighbour index per cycle
-            return neigh[:, :, :, chosen, local_time]
-        # The rotation wraps per-kernel select *positions* modulo the full
-        # stream length, so a window needs slot values at arbitrary
-        # absolute indices — the RNG's index-addressed API serves them
-        # from its cached period.
+            slots = self._select_rng.integers_window(0, n, 16)
+            chosen = WEIGHT_SLOTS[slots]  # (N,) neighbour index per cycle
+            return neigh[:, :, :, chosen, cycles]
+        # The rotation wraps per-kernel select positions modulo the stream
+        # length; the RNG's index-addressed API serves them from its
+        # cached period.
         kernels = (h - 2) * (w - 2)
-        phases = (
-            np.arange(kernels, dtype=np.int64) * self._select_phase_step
-        ) % stream_length
-        idx = (phases[:, None] + np.arange(start, stop)[None, :]) % stream_length
+        phases = (np.arange(kernels, dtype=np.int64) * self._select_phase_step) % n
+        idx = (phases[:, None] + cycles[None, :]) % n
         seq = self._select_rng.sequence_at(idx)
         chosen = WEIGHT_SLOTS[(seq * 16) // self._select_rng.modulus]
-        flat = neigh.reshape(tiles, kernels, 9, span)
-        out = flat[:, np.arange(kernels)[:, None], chosen, local_time[None, :]]
-        return out.reshape(tiles, h - 2, w - 2, span)
+        flat = neigh.reshape(tiles, kernels, 9, n)
+        out = flat[:, np.arange(kernels)[:, None], chosen, cycles[None, :]]
+        return out.reshape(tiles, h - 2, w - 2, n)

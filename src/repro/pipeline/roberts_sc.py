@@ -70,12 +70,7 @@ class SCRobertsCross:
 
     def _select_bits(self, n: int) -> np.ndarray:
         """The shared 0.5 select stream for the MUX scaled adder."""
-        return self._select_bits_window(0, n)
-
-    def _select_bits_window(self, start: int, stop: int) -> np.ndarray:
-        """Bits ``[start, stop)`` of the select stream (windowed RNG —
-        value-exact against the full sequence, O(window) memory)."""
-        seq = self._select_rng.sequence_window(start, stop)
+        seq = self._select_rng.sequence_window(0, n)
         return (seq < self._select_rng.modulus // 2).astype(np.uint8)
 
     @staticmethod

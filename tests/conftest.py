@@ -12,6 +12,11 @@ def pytest_configure(config):
         "slow: a test that takes seconds, not milliseconds (still part of the "
         "default run; deselect with -m 'not slow')",
     )
+    # A RuntimeWarning (an invalid cast, a divide by zero, NaN reaching
+    # an integer) marks a number that may be silently wrong: fail the
+    # test, on every command line that runs the suite. A test that means
+    # to provoke one scopes ``np.errstate`` or ``pytest.warns``.
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
 
 
 @pytest.fixture(autouse=True)

@@ -226,3 +226,24 @@ def make_pair_batch(rng_x, rng_y, n=256, step=16):
     x = (xs[:, None] > sx[None, :]).astype(np.uint8)
     y = (ys[:, None] > sy[None, :]).astype(np.uint8)
     return x, y, xs, ys
+
+
+def unpacked_pair_sweep(transform, rng_x_spec, rng_y_spec, *, n, step):
+    """The byte-per-bit reduction of ``measure_pair_transform``'s pair
+    sweep — ``scc_batch`` and per-stream byte means over the same
+    ``generate_pair_batch`` output — the oracle of its packed popcount
+    path. Returns ``(input_scc, output_scc, bias_x, bias_y)``."""
+    from repro.analysis import generate_pair_batch
+    from repro.bitstream.metrics import scc_batch
+    from repro.rng import make_rng
+
+    x, y, _, _ = generate_pair_batch(
+        make_rng(rng_x_spec), make_rng(rng_y_spec), n=n, step=step
+    )
+    out_x, out_y = transform._process_bits(x, y)
+    return (
+        float(scc_batch(x, y).mean()),
+        float(scc_batch(out_x, out_y).mean()),
+        float((out_x.mean(axis=1) - x.mean(axis=1)).mean()),
+        float((out_y.mean(axis=1) - y.mean(axis=1)).mean()),
+    )

@@ -301,11 +301,10 @@ class TestBufferArena:
         arena = BufferArena()
         words = arena.take(4, 8)
         arena.release(words)
-        bits = arena.take_shape((4, 8), np.uint8)
-        assert bits is not words and bits.dtype == np.uint8
-        arena.release(bits)
-        assert arena.take_shape((4, 8), np.uint8) is bits
+        arena.release(np.empty((4, 8), dtype=np.uint8))
+        arena.release(np.empty((8, 4), dtype="<u8"))
         assert arena.take(4, 8) is words
+        assert arena.take(4, 8) is not words
 
     def test_flush_counters_resets(self):
         arena = BufferArena()

@@ -43,6 +43,7 @@ from repro.bitstream.metrics import (
 )
 from repro.core import Desynchronizer, SyncMax, Synchronizer
 from repro.exceptions import EncodingError, LengthMismatchError
+from tests.helpers import unpacked_pair_sweep
 
 # Odd lengths on purpose: 1, sub-word, word-boundary +/- 1, multi-word.
 LENGTHS = [1, 7, 63, 64, 65, 100, 128, 200, 256]
@@ -326,24 +327,14 @@ class TestCircuitRouting:
     def test_sweep_backends_agree(self):
         from repro.analysis import measure_pair_transform
 
-        packed = measure_pair_transform(
-            Synchronizer(), "vdc", "halton3", n=64, step=8, backend="packed"
+        packed = measure_pair_transform(Synchronizer(), "vdc", "halton3", n=64, step=8)
+        input_scc, output_scc, bias_x, bias_y = unpacked_pair_sweep(
+            Synchronizer(), "vdc", "halton3", n=64, step=8
         )
-        unpacked = measure_pair_transform(
-            Synchronizer(), "vdc", "halton3", n=64, step=8, backend="unpacked"
-        )
-        assert packed.input_scc == pytest.approx(unpacked.input_scc, abs=1e-12)
-        assert packed.output_scc == pytest.approx(unpacked.output_scc, abs=1e-12)
-        assert packed.bias_x == pytest.approx(unpacked.bias_x, abs=1e-12)
-        assert packed.bias_y == pytest.approx(unpacked.bias_y, abs=1e-12)
-
-    def test_sweep_rejects_unknown_backend(self):
-        from repro.analysis import measure_pair_transform
-
-        with pytest.raises(ValueError):
-            measure_pair_transform(
-                Synchronizer(), "vdc", "vdc", n=16, step=8, backend="simd"
-            )
+        assert packed.input_scc == pytest.approx(input_scc, abs=1e-12)
+        assert packed.output_scc == pytest.approx(output_scc, abs=1e-12)
+        assert packed.bias_x == pytest.approx(bias_x, abs=1e-12)
+        assert packed.bias_y == pytest.approx(bias_y, abs=1e-12)
 
 
 # --------------------------------------------------------------------- #

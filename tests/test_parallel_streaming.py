@@ -202,6 +202,63 @@ class TestPerCycleOracle:
         assert got.values == reference.values
         assert got.expected == reference.expected
 
+    # A span-map fold that applies block maps out of order still passes
+    # the long_stream cases above, whose chunk maps nearly commute; this
+    # graph's do not. At tile_words=256 each tile is 2048 chunks, exactly
+    # 256 blocks of 8, so no python remainder walk resets the state a
+    # misordered fold got wrong.
+    _DESYNC_LENGTH = 1 << 16
+
+    @pytest.fixture(scope="class")
+    def desync_stepped(self):
+        g = SCGraph()
+        g.source("a", 0.7, "vdc", width=16)
+        g.source("b", 0.4, "halton3", width=16)
+        shared: dict = {}
+        desync = Desynchronizer(depth=2)
+        g.add(TransformNode("d_x", desync, ("a", "b"), 0, shared))
+        g.add(TransformNode("d_y", desync, ("a", "b"), 1, shared))
+        g.op("prod", "mul", "d_x", "d_y")
+        plan = compile_graph(g)
+        with mock.patch.object(dispatch, "chunked_outputs") as chunked, \
+                kernels.use_backend("auto", strategy="step"):
+            reference = audit(plan, self._DESYNC_LENGTH)
+        assert not chunked.called
+        return plan, reference
+
+    def _desync_audit(self, plan, fold):
+        with in_process_lane(), mock.patch.object(steppers, "_map_blocked", fold):
+            return audit_streaming(plan, self._DESYNC_LENGTH, tile_words=256, jobs=2)
+
+    def test_desync_span_maps_equal_per_cycle_audit(self, desync_stepped):
+        plan, reference = desync_stepped
+        fold = mock.MagicMock(wraps=steppers._map_blocked)
+        got = self._desync_audit(plan, fold)
+        assert fold.call_count == 2  # span 0's two tiles compose by blocks
+        assert got.entries == reference.entries
+        assert got.values == reference.values
+        assert got.expected == reference.expected
+
+    def test_desync_case_catches_a_misordered_fold(self, desync_stepped):
+        def swapped_fold(lut, index, row, n_states):
+            # steppers._map_blocked, with each pair's maps applied in the
+            # wrong order.
+            blocks = steppers._blocks(index)
+            maps = steppers._block_maps(lut, blocks, n_states)
+            while maps.shape[1] > 1:
+                even = maps.shape[1] & ~1
+                folded = np.take_along_axis(
+                    maps[:, 0:even:2], maps[:, 1:even:2], axis=0
+                )
+                maps = np.concatenate([folded, maps[:, even:]], axis=1)
+            return steppers._walk_map(
+                lut, index[blocks.size:].tolist(), maps[row, 0].tolist()
+            )
+
+        plan, reference = desync_stepped
+        got = self._desync_audit(plan, swapped_fold)
+        assert got.values != reference.values
+
 
 # ---------------------------------------------------------------------- #
 # 2b. One span: jobs=1, a single tile, a series plan

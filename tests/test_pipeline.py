@@ -262,6 +262,37 @@ class TestAccelerator:
         with pytest.raises(PipelineError):
             acc.process(np.zeros((14, 14, 3)))
 
+    @pytest.mark.parametrize("backend", ("auto", "interpreter"))
+    def test_image_validation_rejects_nan(self, backend):
+        # NaN compares False both ways, so a min/max range check lets it
+        # through to the integer cast and a NaN-free edge image.
+        acc = SCAccelerator(AcceleratorConfig(variant="none", stream_length=64))
+        image = np.full((14, 14), 0.5)
+        image[6, 7] = np.nan
+        with pytest.raises(PipelineError, match=r"\[0, 1\]"):
+            acc.process(image, backend=backend)
+
+    @pytest.mark.parametrize("shape", ((0, 0), (0, 14)))
+    def test_image_validation_rejects_empty(self, shape):
+        acc = SCAccelerator(AcceleratorConfig(variant="none"))
+        with pytest.raises(PipelineError, match="non-empty"):
+            acc.process(np.zeros(shape))
+
+    def test_process_tile_validates_values(self):
+        acc = SCAccelerator(AcceleratorConfig(variant="none", stream_length=64))
+        with pytest.raises(PipelineError):
+            acc.process_tile(np.full((10, 10), 1.5))
+        tile = np.full((10, 10), 0.5)
+        tile[0, 0] = np.nan
+        with pytest.raises(PipelineError):
+            acc.process_tile(tile)
+
+    @pytest.mark.parametrize("backend", ("streaming", "engine"))
+    def test_unknown_backend(self, backend):
+        acc = SCAccelerator(AcceleratorConfig(variant="none", stream_length=64))
+        with pytest.raises(PipelineError, match="unknown backend"):
+            acc.process(blob_image(14), backend=backend)
+
     @pytest.mark.parametrize("variant", ("none", "regeneration", "synchronizer"))
     def test_all_variants_run(self, variant):
         acc = SCAccelerator(AcceleratorConfig(variant=variant, stream_length=64))

@@ -464,27 +464,6 @@ class TestSharedArena:
         finally:
             arena.shutdown()
 
-    def test_wrap_passes_small_and_non_arrays_through(self):
-        arena = _test_arena()
-        try:
-            small = np.zeros((2, 8), dtype="<u8")
-            assert arena.wrap(small) is small
-            assert arena.wrap("plain") == "plain"
-        finally:
-            arena.shutdown()
-
-    def test_wrap_shares_large_arrays(self):
-        arena = _test_arena()
-        if not arena.available():
-            pytest.skip("shared-memory segments unavailable")
-        try:
-            big = np.arange(1 << 14, dtype="<u8")  # 128 KiB
-            desc = arena.wrap(big)
-            assert isinstance(desc, tuple) and desc[0] == "__shm__"
-            assert np.array_equal(unwrap(desc), big)
-        finally:
-            arena.shutdown()
-
     def test_unwrap_is_identity_for_plain_objects(self):
         assert unwrap(42) == 42
         arr = np.arange(3)

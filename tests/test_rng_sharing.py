@@ -7,6 +7,7 @@ from repro.bitstream import scc
 from repro.exceptions import RNGConfigurationError
 from repro.rng import LFSR, Halton, SystemRNG, VanDerCorput
 from repro.rng.sharing import RNGBank, RotatedView
+from tests.helpers import unpacked_pair_sweep
 
 
 class TestRotatedView:
@@ -173,13 +174,12 @@ class TestSharingPackedBackend:
             result = measure_pair_transform(
                 Synchronizer(depth=1), "bank_tap_a", "bank_tap_b", n=64, step=16
             )
-            reference = measure_pair_transform(
-                Synchronizer(depth=1), "bank_tap_a", "bank_tap_b", n=64, step=16,
-                backend="unpacked",
+            input_scc, output_scc, _, _ = unpacked_pair_sweep(
+                Synchronizer(depth=1), "bank_tap_a", "bank_tap_b", n=64, step=16
             )
             # Packed and unpacked metric reductions agree bit for bit.
-            assert result.input_scc == reference.input_scc
-            assert result.output_scc == reference.output_scc
+            assert result.input_scc == input_scc
+            assert result.output_scc == output_scc
             # The synchronizer raises the rotated pair's correlation.
             assert result.output_scc > result.input_scc
         finally:

@@ -1,6 +1,6 @@
 """Streaming tile execution: bit-identity at every tile boundary.
 
-Four contracts, each enforced against the existing engines rather than
+Three contracts, each enforced against the existing engines rather than
 against fixtures:
 
 1. **Windowed RNGs** — ``sequence_window(s, e)`` equals
@@ -13,9 +13,7 @@ against fixtures:
 3. **Streaming executor** — ``run_streaming`` / ``audit_streaming`` are
    bit-/float-identical to ``run_batch`` / ``audit`` for every library
    graph, both encodings, odd lengths, batches >= 1, with and without
-   fusion;
-4. **Streaming pipeline** — the accelerator's ``backend="streaming"``
-   output equals the engine route exactly, per variant.
+   fusion.
 """
 
 import threading
@@ -59,7 +57,7 @@ from repro.exceptions import EncodingError, GraphCompilationError
 from repro.kernels import compiled_kernel, make_pair_carrier, step_chunk
 from repro.kernels.dispatch import _run_tables
 from repro.rng import LFSR, make_rng
-from tests.helpers import assert_backends_equivalent, in_process_lane
+from tests.helpers import assert_backends_equivalent
 
 # Tile sizes from the issue's acceptance grid, in 64-bit words.
 TILE_WORDS_GRID = (1, 7, 64, 4096)
@@ -525,61 +523,8 @@ class TestValidationAndCaches:
 
 
 # ---------------------------------------------------------------------- #
-# 6. Streaming pipeline + long_stream spec
+# 6. long_stream spec
 # ---------------------------------------------------------------------- #
-
-class TestStreamingPipeline:
-    @pytest.mark.parametrize("variant", ["none", "regeneration", "synchronizer"])
-    def test_streaming_backend_equals_engine(self, variant):
-        from repro.pipeline import AcceleratorConfig, SCAccelerator, standard_test_images
-
-        image = list(standard_test_images(12).values())[0] \
-            if isinstance(standard_test_images(12), dict) \
-            else standard_test_images(12)[0]
-        image = np.asarray(image, dtype=np.float64)
-        config = AcceleratorConfig(variant=variant, stream_length=192, tile=10)
-        reference = SCAccelerator(config).process(image, backend="auto")
-        streamed = SCAccelerator(config).process(
-            image, backend="streaming", tile_words=1
-        )
-        assert np.array_equal(reference.output, streamed.output)
-        assert reference.mean_abs_error == streamed.mean_abs_error
-
-    @pytest.mark.parametrize("variant", ["none", "regeneration", "synchronizer"])
-    def test_parallel_streaming_backend_on_both_lanes(self, variant):
-        # Span-parallel detection equals the batched engine pass, on the
-        # warm pool and on the in-process lane alike (tile_words=4 is one
-        # window, hence one span); phase 1 composes every span but the
-        # last, and only the synchronizer variant composes at all.
-        from repro import obs
-        from repro.engine.parallel import spans_for
-        from repro.pipeline import AcceleratorConfig, SCAccelerator
-        from repro.pipeline.images import blob_image
-
-        image = blob_image(12)
-        config = AcceleratorConfig(variant=variant, stream_length=192, tile=10)
-        acc = SCAccelerator(config)
-        reference = acc.process(image, backend="auto")
-        for jobs in (2, 3):
-            for tile_words in (1, 4):
-                spans = len(spans_for(config.stream_length, tile_words, jobs))
-                composed = spans - 1 if variant == "synchronizer" else 0
-                with obs.observe() as trace:
-                    pooled = acc.process(
-                        image, backend="streaming", tile_words=tile_words, jobs=jobs
-                    )
-                with in_process_lane(), obs.observe() as inline_trace:
-                    inline = acc.process(
-                        image, backend="streaming", tile_words=tile_words, jobs=jobs
-                    )
-                case = (jobs, tile_words)
-                counters = trace.metrics["counters"]
-                assert counters.get("pipeline.stream.pooled", 0) == (spans > 1), case
-                for traced in (trace, inline_trace):
-                    assert len(traced.by_name("pipeline.stream.compose")) == composed, case
-                assert np.array_equal(pooled.output, reference.output), case
-                assert np.array_equal(inline.output, reference.output), case
-
 
 class TestLongStreamSpec:
     def test_spec_expands_one_shard_per_length(self):
