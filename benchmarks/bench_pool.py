@@ -1,8 +1,8 @@
 """Bench: the persistent execution runtime — warm pool vs fork-per-call.
 
 The pool's whole premise is amortisation: fork once, keep plan/kernel
-caches and shared-memory segments warm, and make *repeated* parallel
-calls cheap. Three tracked properties for :mod:`repro.engine.pool`:
+caches warm, and make *repeated* parallel calls cheap. Three tracked
+properties for :mod:`repro.engine.pool`:
 
 * **warm-call throughput floor** — 64 repeated ``run_streaming`` calls
   on the same compiled plan (N = 2^14, jobs=4) must run >= 3x faster
@@ -10,10 +10,10 @@ calls cheap. Three tracked properties for :mod:`repro.engine.pool`:
   program no longer has a fork-per-call lane, so the baseline is a
   stand-in for ``pool_call`` defined here (:func:`_fork_per_call`) and
   patched into :mod:`repro.engine.parallel`: it installs the span
-  context in the parent, forks a fresh ``ProcessPoolExecutor`` per call
-  whose workers inherit that context, and hands out no shared segments
-  — the lane as it ran before the persistent pool. (A cold persistent
-  pool would be a costlier baseline and so an easier floor.) Wall-clock
+  context in the parent and forks a fresh ``ProcessPoolExecutor`` per
+  call whose workers inherit that context — the lane as it ran before
+  the persistent pool. (A cold persistent pool would be a costlier
+  baseline and so an easier floor.) Wall-clock
   floors only mean something with real cores underneath, so the floor
   skips below 4 CPUs (same stance as ``bench_parallel_streaming``); the
   timing rows are archived regardless, so the JSON snapshot records
@@ -66,17 +66,7 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _NoSegments:
-    """An arena that hands out no shared segments: kept words travel by
-    pickle."""
-
-    def empty(self, shape, dtype):
-        return np.zeros(shape, dtype=dtype), None
-
-
 class _ForkCall:
-    arena = _NoSegments()
-
     def __init__(self, executor):
         self._executor = executor
 

@@ -59,7 +59,6 @@ from .streaming import (
     DEFAULT_TILE_WORDS,
     OverlapAccumulator,
     PackedTileSource,
-    TileAssembler,
     ValueAccumulator,
     iter_tiles,
     tile_bounds,
@@ -78,7 +77,6 @@ __all__ = [
     "PackedTileSource",
     "ValueAccumulator",
     "OverlapAccumulator",
-    "TileAssembler",
     "scc_from_overlap_counts",
     "Encoding",
     "ones_to_value",

@@ -23,9 +23,6 @@ sums instead of retained bits:
 * :class:`OverlapAccumulator` — pairwise overlap partial sums whose final
   SCC is float-identical to
   :func:`~repro.bitstream.metrics.scc_batch_packed` on the full streams.
-* :class:`TileAssembler` — optional materialisation of selected streams:
-  writes tile word slices into a preallocated full-length matrix (memory
-  is spent only on streams a caller explicitly keeps).
 
 Doctest — streaming SCC equals whole-stream SCC::
 
@@ -70,7 +67,6 @@ __all__ = [
     "PackedTileSource",
     "ValueAccumulator",
     "OverlapAccumulator",
-    "TileAssembler",
     "materialized_batch_bytes",
 ]
 
@@ -299,33 +295,3 @@ class OverlapAccumulator:
     def scc(self) -> np.ndarray:
         """Per-row SCC of the accumulated pair."""
         return scc_from_overlap_counts(*self.counts())
-
-
-class TileAssembler:
-    """Materialise one stream from its tiles into a full packed matrix.
-
-    The streaming executor keeps memory O(tile) by default; streams a
-    caller explicitly asks to keep are assembled here — the only place a
-    full-length buffer is allocated, and only for those streams.
-    """
-
-    def __init__(self, rows: int, length: int) -> None:
-        self._length = check_stream_length(length)
-        self._words = np.zeros((rows, words_per_stream(length)), dtype="<u8")
-
-    def write(self, start: int, tile_words_matrix: np.ndarray) -> None:
-        """Install one tile (``start`` must be word-aligned, as produced
-        by :func:`tile_bounds`)."""
-        if start % WORD_BITS:
-            raise ValueError(f"tile start {start} is not word-aligned")
-        w0 = start // WORD_BITS
-        self._words[:, w0 : w0 + tile_words_matrix.shape[1]] = tile_words_matrix
-
-    def packed(
-        self, encoding: Union[Encoding, str] = Encoding.UNIPOLAR
-    ) -> PackedBitstreamBatch:
-        return PackedBitstreamBatch(self._words, self._length, encoding)
-
-    @property
-    def words(self) -> np.ndarray:
-        return self._words

@@ -19,9 +19,10 @@ Steele) from *bits* to *tiles*:
    ``apply`` per span per transform group, in the parent) yields every
    span's entry state for every carrier.
 3. **Phase 3 — evaluate.** Every span runs through the fused tile walk,
-   seeded at its scanned entry states, writing kept words at absolute
-   offsets into full-length buffers. Accumulator partials merge **in
-   span order** — integer summation, so every derived float equals a
+   seeded at its scanned entry states, writing kept words into
+   span-length buffers that the parent joins in span order (one span's
+   buffers are the result). Accumulator partials merge **in span
+   order** — integer summation, so every derived float equals a
    one-span walk's.
 
 Transforms whose inputs depend on other transforms' outputs (e.g.
@@ -39,10 +40,8 @@ from the carriers' initial states, traced as ``engine.stream`` with no
 Spans come from the **persistent pool** (:mod:`repro.engine.pool`):
 long-lived forked processes that keep plan, kernel, and sequence caches
 warm across calls, receive the walk plan by pickle at most once
-(token-keyed worker cache), and write kept nodes' packed words straight
-into parent-owned shared-memory blocks
-(:class:`~repro.engine.pool.SharedSink`) instead of pickling span
-buffers back. The ``os.register_at_fork`` hooks in
+(token-keyed worker cache), and send each span's partials and kept
+words back by pickle. The ``os.register_at_fork`` hooks in
 :mod:`repro.engine.executor` / :mod:`repro.engine.streaming` rebind
 their locks in every worker, so the pool is safe to start under a
 threaded parent. When the pool declines (a nested call inside a forked
@@ -74,7 +73,7 @@ from ..obs import counter_add
 from ..obs import span as obs_span
 from .executor import _OP_KERNELS
 from .plan import ExecutionPlan, FusedChain
-from .pool import SharedSink, pool_call
+from .pool import pool_call
 from .streaming import (
     _CompiledChain,
     _expand_aliases,
@@ -280,8 +279,8 @@ def _phase1_compose(
 
 
 class _SpanSink:
-    """A kept node's words for one span, returned by pickle when the
-    pool has no shared segments to write into."""
+    """A kept node's words for one span, at span-relative word offsets;
+    the buffer is the span task's result for that node."""
 
     __slots__ = ("words", "_w0")
 
@@ -296,22 +295,20 @@ class _SpanSink:
 
 
 def _phase3_task(
-    span_index: int, entries: Dict[int, Any], sink_blocks=None
+    span_index: int, entries: Dict[int, Any]
 ) -> Tuple[Dict[str, ValueAccumulator], Dict[str, OverlapAccumulator], Dict[str, np.ndarray]]:
     """Evaluate one of several spans, traced as
     ``engine.parallel.evaluate`` (see :func:`_phase3_evaluate`)."""
     with obs_span("engine.parallel.evaluate", span=span_index):
-        return _phase3_evaluate(span_index, entries, sink_blocks)
+        return _phase3_evaluate(span_index, entries)
 
 
 def _phase3_evaluate(
-    span_index: int, entries: Dict[int, Any], sink_blocks=None
+    span_index: int, entries: Dict[int, Any]
 ) -> Tuple[Dict[str, ValueAccumulator], Dict[str, OverlapAccumulator], Dict[str, np.ndarray]]:
     """Walk one span from its scanned entry states (one span walks the
-    caller's own carriers); return its accumulator partials. Kept words
-    go to ``sink_blocks``' full-length buffers (segment descriptors when
-    pooled, arrays in-process), or back as span buffers when ``None``
-    (a pool without segments)."""
+    caller's own carriers); return its accumulator partials and its
+    kept nodes' span buffers."""
     ctx = _LOCAL.ctx
     span = ctx.spans[span_index]
     carriers = ctx.carriers
@@ -327,14 +324,7 @@ def _phase3_evaluate(
             s.name: OverlapAccumulator(ctx.length)
             for s in ctx.plan.steps if s.kind == "op"
         }
-    if sink_blocks is None:
-        sinks: Dict[str, Any] = {
-            name: _SpanSink(ctx.rows[name], span) for name in ctx.keep_set
-        }
-    else:
-        # Spans partition the word range, so every span writes its
-        # slice of the shared buffer race-free.
-        sinks = {name: SharedSink(sink_blocks[name]) for name in ctx.keep_set}
+    sinks = {name: _SpanSink(ctx.rows[name], span) for name in ctx.keep_set}
     schedule = [
         _CompiledChain(item, ctx.rows) if isinstance(item, FusedChain) else item
         for item in ctx.schedule
@@ -344,9 +334,7 @@ def _phase3_evaluate(
         _span_bounds(span), needs_select=ctx.needs_select, vacc=vacc,
         sccacc=sccacc, writers=sinks,
     )
-    if sink_blocks is None:
-        return vacc, sccacc, {name: sink.words for name, sink in sinks.items()}
-    return vacc, sccacc, {}
+    return vacc, sccacc, {name: sink.words for name, sink in sinks.items()}
 
 
 # ---------------------------------------------------------------------- #
@@ -383,8 +371,8 @@ def _pool_install_ctx(plan: Optional[ExecutionPlan], payload: Optional[dict],
     _LOCAL.ctx = ctx
 
 
-def _run_phases(run_tasks, evaluate, spans, phase1, algebra, initial_state,
-                sink_blocks) -> List[Any]:
+def _run_phases(run_tasks, evaluate, spans, phase1, algebra,
+                initial_state) -> List[Any]:
     """Drive phases 1–3 through ``run_tasks(task_fn, arglists)`` — the
     pooled and in-process lanes share this loop, so the scan arithmetic
     (and therefore the bits) cannot diverge.
@@ -394,7 +382,7 @@ def _run_phases(run_tasks, evaluate, spans, phase1, algebra, initial_state,
     earlier ``"carrier_groups"`` it replays from its entries. Phase 1
     composes every span but the last: the last span's map would only
     yield the stream's exit state, which nothing reads. Phase 3 returns
-    ``evaluate(span, entries, sink_blocks)`` in span order."""
+    ``evaluate(span, entries)`` in span order."""
     span_entries: List[Dict[int, Any]] = [dict() for _ in spans]
     for w, info in phase1.items():
         tasks = [
@@ -409,10 +397,7 @@ def _run_phases(run_tasks, evaluate, spans, phase1, algebra, initial_state,
                 for i, maps in enumerate(span_maps, start=1):
                     state = algebra[g].apply(maps[g], state)
                     span_entries[i][g] = state
-    return run_tasks(
-        evaluate,
-        [(i, span_entries[i], sink_blocks) for i in range(len(spans))],
-    )
+    return run_tasks(evaluate, [(i, span_entries[i]) for i in range(len(spans))])
 
 
 def _composers(plan: ExecutionPlan, length: int, rows: Dict[str, int]):
@@ -530,13 +515,11 @@ def _parallel_stream_execute(
             "keep_set": keep_set, "value_nodes": value_nodes,
             "want_op_scc": want_op_scc, "phase1": phase1,
         }
-        total_words = (length + 63) // 64
 
         # Persistent pool: the walk plan is the token-cached context
         # (pickled to each warm worker at most once); the payload carries
         # everything else, with the fused schedule recomputed worker-side
-        # from `exposed`. Kept nodes get full-length shared blocks that
-        # span workers fill in place — the zero-copy hand-off.
+        # from `exposed`.
         results: Optional[List[tuple]] = None
         with pool_call(
             len(spans), context=plan,
@@ -545,33 +528,16 @@ def _parallel_stream_execute(
         ) as call:
             if call is not None:
                 counter_add("engine.parallel.pooled")
-                views: Dict[str, np.ndarray] = {}
-                blocks: Optional[Dict[str, Any]] = {}
-                for name in keep_set:
-                    views[name], blocks[name] = call.arena.empty(
-                        (rows[name], total_words), "<u8"
-                    )
-                if any(desc is None for desc in blocks.values()):
-                    blocks = None  # no segments: span buffers by pickle
                 results = _run_phases(
                     lambda fn, arglists: call.map(
                         "repro.engine.parallel:" + fn.__name__, arglists
                     ),
                     _phase3_task, spans, phase1, algebra, initial_state,
-                    blocks,
                 )
-                # Copy kept words out before the call ends and its
-                # segments return to the free list for reuse.
-                kept = {name: np.array(view) for name, view in views.items()}
 
         # In-process lane (one span, or the pool declined): the same
-        # installer and span tasks, run here one span after another,
-        # writing kept words straight into the result buffers.
+        # installer and span tasks, run here one span after another.
         if results is None:
-            kept = {
-                name: np.zeros((rows[name], total_words), dtype="<u8")
-                for name in keep_set
-            }
             _pool_install_ctx(
                 plan, payload, schedule, carriers if one_span else None
             )
@@ -579,24 +545,26 @@ def _parallel_stream_execute(
                 results = _run_phases(
                     lambda fn, arglists: [fn(*args) for args in arglists],
                     _phase3_evaluate if one_span else _phase3_task,
-                    spans, phase1, algebra, initial_state, kept,
+                    spans, phase1, algebra, initial_state,
                 )
             finally:
                 _pool_install_ctx(None, None)
 
         # Ordered merge: accumulator partials sum span by span onto the
         # first span's (integer addition — the totals are one walk's
-        # totals); span buffers land at their spans' word offsets.
-        vacc, sccacc, _ = results[0]
+        # totals). Spans partition the word range in order, so kept span
+        # buffers join end to end; one span's buffers are the result.
+        vacc, sccacc, kept = results[0]
         for span_vacc, span_sccacc, _ in results[1:]:
             for name, acc in span_vacc.items():
                 vacc[name].merge(acc)
             for name, acc in span_sccacc.items():
                 sccacc[name].merge(acc)
-        for span, (_, _, span_words) in zip(spans, results):
-            w0 = span[0] // 64
-            for name, words in span_words.items():
-                kept[name][:, w0 : w0 + words.shape[1]] = words
+        if len(results) > 1:
+            kept = {
+                name: np.concatenate([words[name] for _, _, words in results], axis=1)
+                for name in kept
+            }
 
         kept = {name: kept[name] for name in plan.node_order if name in kept}
         ones = {name: acc.ones for name, acc in vacc.items()}

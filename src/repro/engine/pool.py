@@ -1,4 +1,4 @@
-"""Persistent execution runtime: warm forked workers + shared-memory arenas.
+"""Persistent execution runtime: warm forked workers.
 
 Every parallel entry point in the repo — the engine's span scheduler
 (:mod:`repro.engine.parallel`, which also serves the serving layer's
@@ -6,9 +6,8 @@ over-budget shed path, ``run_streaming(jobs=stream_jobs)``) and the
 runner's shard pool (:mod:`repro.runner.scheduler`) — dispatches through
 **one process-wide pool of long-lived forked workers**. Forking per call
 would hand every call cold kernel and sequence caches (the at-fork hooks
-drop every memo on purpose, to rebind locks) and pickle every result
-back; for sweeps of many small-to-medium calls that setup would dominate
-the compute.
+drop every memo on purpose, to rebind locks); for sweeps of many
+small-to-medium calls that setup would dominate the compute.
 
 * :func:`get_pool` lazily forks up to ``jobs`` workers the first time a
   parallel call wants them and reuses them for every later call. Workers
@@ -21,17 +20,9 @@ the compute.
   at most once, plus a per-call payload; each worker installs both
   through a module-level *installer* function and then executes
   tasks sent as ``("module:function", args)`` messages — one in flight
-  per worker, dynamically balanced, with results streamed back in
+  per worker, dynamically balanced, with results pickled back in
   completion order. A worker that dies (OOM-killed, segfaulted) is
   respawned, re-primed, and its task retried once.
-* :class:`SharedArena` hands result buffers from workers to the parent
-  zero-copy: named ``multiprocessing.shared_memory`` segments, recycled
-  through a size-class free list exactly like the optimizer's
-  :class:`~repro.engine.optimize.BufferArena` recycles word buffers.
-  Packed uint64 ``keep=`` materialisations are written by span workers
-  *directly into the parent's result segment* (:class:`SharedSink`).
-  When segments are unavailable (no ``/dev/shm``, platform quirks) span
-  buffers travel back by pickle — same bits, one more copy.
 
 Fallback rules — ``pool_call`` yields ``None`` and the caller runs the
 same installer and tasks in-process (same bits, no parallelism) when:
@@ -45,7 +36,8 @@ same installer and tasks in-process (same bits, no parallelism) when:
 * another thread is mid-call on the pool (``engine.pool.fallback.busy``)
   — the serving layer can shed two streams concurrently, and the second
   must not queue behind the first;
-* the context or payload does not pickle
+* the context or payload does not pickle, or the context cannot be
+  weakly referenced (its cache token holds a weakref)
   (``engine.pool.fallback.unpicklable``);
 * priming fails worker-side — the context pickled in the parent but did
   not unpickle or install in the worker
@@ -57,8 +49,7 @@ the *original* exception from ``imap``/``map`` (chained to a
 catching specific types behave the same on either lane. Every reply
 carries the request's ``seq`` and is validated against it; when a call
 is abandoned mid-flight, ``end`` waits out (or revives) still-running
-workers before their replies could desync the protocol or their shared
-segments are recycled.
+workers before their replies could desync the protocol.
 
 Observability: workers adopt the parent's tracing session *per call*
 (anchor + spool travel in the prime message, so a session started after
@@ -83,19 +74,14 @@ import weakref
 from collections import OrderedDict
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..obs import collect_children, counter_add
 
 __all__ = [
-    "SharedArena",
-    "SharedSink",
     "WorkerPool",
     "PoolTaskError",
     "get_pool",
     "shutdown_pool",
     "pool_call",
-    "unwrap",
 ]
 
 # Per-worker context cache: how many distinct heavy context objects
@@ -109,185 +95,10 @@ _TASK_RETRIES = 1
 
 # How long an aborted call waits for each still-running worker to finish
 # before killing it. An abandoned dispatch (``imap`` raised on one
-# worker's error while others were mid-task) cannot recycle its shared
-# segments while a stale worker might still write into them, so
-# ``PoolCall.end`` waits out — or revives — every in-flight worker.
+# worker's error while others were mid-task) leaves replies in flight
+# that would desync the next call's protocol, so ``PoolCall.end`` waits
+# out — or revives — every in-flight worker.
 _DRAIN_TIMEOUT = 5.0
-
-_SHM_PREFIX = "repro_pool"
-
-
-# ---------------------------------------------------------------------- #
-# SharedArena: freelist-recycled named shared-memory segments
-# ---------------------------------------------------------------------- #
-
-def _shm_module():
-    try:
-        from multiprocessing import shared_memory
-        return shared_memory
-    except ImportError:  # stripped-down builds
-        return None
-
-
-class SharedArena:
-    """A size-class free list of named shared-memory segments.
-
-    The cross-process twin of the optimizer's
-    :class:`~repro.engine.optimize.BufferArena`: :meth:`take` pops a
-    recycled segment of the right size class (next power of two) or
-    creates a fresh one; :meth:`release_all` returns every segment handed
-    out for the current call to the free list once the call's results
-    have been copied out. Segments are created and unlinked **only by the
-    parent**; workers attach read/write views by name
-    (:func:`attach_view`) and never own anything. :meth:`shutdown`
-    unlinks everything — the CI pool-smoke job asserts ``/dev/shm`` holds
-    no ``repro_pool_*`` residue after the suite. Workers share the
-    parent's resource tracker (started before the first fork), so a
-    parent killed mid-call leaves nothing behind either: the tracker
-    unlinks every segment still registered once the parent and its
-    workers have exited.
-    """
-
-    __slots__ = ("_free", "_live", "_counter", "_prefix", "_ok",
-                 "hits", "misses")
-
-    def __init__(self) -> None:
-        self._free: Dict[int, List[Any]] = {}
-        self._live: Dict[str, Any] = {}
-        self._counter = 0
-        self._prefix = f"{_SHM_PREFIX}_{os.getpid()}"
-        self._ok: Optional[bool] = None
-        self.hits = 0
-        self.misses = 0
-
-    def available(self) -> bool:
-        """Can this platform serve named segments? Probed once."""
-        if self._ok is None:
-            shm_mod = _shm_module()
-            if shm_mod is None:
-                self._ok = False
-            else:
-                try:
-                    probe = shm_mod.SharedMemory(
-                        name=f"{self._prefix}_probe", create=True, size=64
-                    )
-                    probe.close()
-                    probe.unlink()
-                    self._ok = True
-                except Exception:  # noqa: BLE001 — any failure means "pickle"
-                    self._ok = False
-        return self._ok
-
-    def take(self, nbytes: int):
-        """A live segment with capacity ≥ ``nbytes``, or ``None`` when
-        segments are unavailable (callers then fall back to pickle)."""
-        if not self.available():
-            return None
-        size = 1 << max(12, int(nbytes - 1).bit_length())
-        bucket = self._free.get(size)
-        if bucket:
-            shm = bucket.pop()
-            self.hits += 1
-        else:
-            shm_mod = _shm_module()
-            try:
-                shm = shm_mod.SharedMemory(
-                    name=f"{self._prefix}_{self._counter}", create=True,
-                    size=size,
-                )
-            except Exception:  # noqa: BLE001 — e.g. /dev/shm full
-                return None
-            self._counter += 1
-            self.misses += 1
-        self._live[shm.name] = shm
-        return shm
-
-    def empty(self, shape: Tuple[int, ...], dtype) -> Tuple[np.ndarray, Optional[tuple]]:
-        """A zero-filled parent-side array over a shared segment plus its
-        descriptor, or ``(plain array, None)`` when segments are
-        unavailable. Workers attach the descriptor and write slices
-        in-place — the zero-copy ``keep=`` hand-off."""
-        dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        shm = self.take(max(1, nbytes))
-        if shm is None:
-            return np.zeros(shape, dtype=dtype), None
-        view = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-        view[...] = 0
-        return view, ("__shm__", shm.name, tuple(shape), dtype.str)
-
-    def release_all(self) -> None:
-        """Return every live segment to the free list (call end: results
-        have been copied out)."""
-        for shm in self._live.values():
-            size = 1 << max(12, int(shm.size - 1).bit_length()) \
-                if shm.size & (shm.size - 1) else shm.size
-            self._free.setdefault(max(4096, size), []).append(shm)
-        self._live.clear()
-
-    def flush_counters(self) -> None:
-        if self.hits:
-            counter_add("engine.pool.shm.reuse", self.hits)
-        if self.misses:
-            counter_add("engine.pool.shm.alloc", self.misses)
-        self.hits = 0
-        self.misses = 0
-
-    def shutdown(self) -> None:
-        """Close and unlink every segment this arena ever created."""
-        for bucket in (list(self._live.values()),
-                       [s for b in self._free.values() for s in b]):
-            for shm in bucket:
-                with contextlib.suppress(Exception):
-                    shm.close()
-                with contextlib.suppress(Exception):
-                    shm.unlink()
-        self._live.clear()
-        self._free.clear()
-
-
-# Worker-side attachment cache: one SharedMemory handle per segment name,
-# kept for the worker's lifetime (the parent recycles names through its
-# free list, so a cached mapping stays valid across calls).
-_ATTACHED: Dict[str, Any] = {}
-
-
-def attach_view(desc: tuple) -> np.ndarray:
-    """The array view a ``("__shm__", name, shape, dtype)`` descriptor
-    names, attached (and cached) in this process."""
-    _, name, shape, dtype = desc
-    shm = _ATTACHED.get(name)
-    if shm is None:
-        shm_mod = _shm_module()
-        shm = shm_mod.SharedMemory(name=name)
-        _ATTACHED[name] = shm
-    return np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
-
-
-def unwrap(obj):
-    """Resolve a :meth:`SharedArena.empty` descriptor back to its array;
-    pass anything else through unchanged (so the same code serves the
-    pooled and in-process lanes)."""
-    if isinstance(obj, tuple) and len(obj) == 4 and obj[0] == "__shm__":
-        return attach_view(obj)
-    return obj
-
-
-class SharedSink:
-    """A kept node's assembler writing straight into a full-length result
-    buffer — the parent's shared segment, named by its descriptor, on the
-    pooled lane; the array itself (passed as ``desc``) in-process. Tile
-    writes land at absolute word offsets, and since spans partition the
-    word range no two spans touch the same bytes."""
-
-    __slots__ = ("_view",)
-
-    def __init__(self, desc) -> None:
-        self._view = unwrap(desc)
-
-    def write(self, start: int, tile_words_matrix: np.ndarray) -> None:
-        w = start // 64
-        self._view[:, w : w + tile_words_matrix.shape[1]] = tile_words_matrix
 
 
 # ---------------------------------------------------------------------- #
@@ -367,8 +178,6 @@ def _worker_main(conn, parent_conn, ppid: int) -> None:
                         pickle.loads(ctx_blob) if ctx_blob is not None
                         else contexts[token]
                     )
-                elif ctx_blob is not None:  # tokenless: re-sent each call
-                    context = pickle.loads(ctx_blob)
                 if installer_ref is not None:
                     payload = (
                         pickle.loads(payload_blob)
@@ -496,7 +305,6 @@ class WorkerPool:
         self._seq = 0
         self._closed = False
         self.origin_pid = os.getpid()
-        self.arena = SharedArena()
         self.respawns = 0
         # id(context) -> (token, weakref). Identity-keyed because plans
         # are unhashable (eq dataclasses); the weakref both guards
@@ -512,13 +320,6 @@ class WorkerPool:
     # -- lifecycle ----------------------------------------------------- #
 
     def _spawn(self) -> _Worker:
-        # Workers must share the parent's resource tracker: one forked
-        # before it started would start its own on its first attach, which
-        # unlinks the parent's segments when the worker exits.
-        with contextlib.suppress(Exception):  # no tracker: no segments
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
         parent_conn, child_conn = self._mp.Pipe(duplex=True)
         proc = self._mp.Process(
             target=_worker_main,
@@ -565,9 +366,8 @@ class WorkerPool:
         return fresh
 
     def shutdown(self) -> None:
-        """Stop every worker and unlink every shared segment. Idempotent
-        — safe to call twice, at interpreter exit, or on a pool that
-        never started a worker."""
+        """Stop every worker. Idempotent — safe to call twice, at
+        interpreter exit, or on a pool that never started a worker."""
         with self._lock:
             if self._closed:
                 return
@@ -585,26 +385,20 @@ class WorkerPool:
                     worker.proc.join(timeout=1.0)
             with contextlib.suppress(Exception):
                 worker.conn.close()
-        self.arena.shutdown()
         # Workers flushed their obs leftovers on "stop"; absorb them.
         collect_children()
 
     # -- the call protocol --------------------------------------------- #
 
-    def _token_for(self, context) -> Optional[int]:
+    def _token_for(self, context) -> int:
         """The context's cache token (stable across calls for the same
-        live object); ``None`` for non-weakrefable contexts, which are
-        then re-sent every call."""
+        live object). A context that cannot be weakly referenced raises
+        ``TypeError``, so :func:`pool_call` runs it in-process."""
         key = id(context)
         entry = self._tokens.get(key)
         if entry is not None and entry[1]() is context:
             return entry[0]
-        try:
-            ref = weakref.ref(
-                context, lambda _ref, k=key: self._tokens.pop(k, None)
-            )
-        except TypeError:
-            return None
+        ref = weakref.ref(context, lambda _ref, k=key: self._tokens.pop(k, None))
         token = self._next_token
         self._next_token += 1
         self._tokens[key] = (token, ref)
@@ -655,10 +449,6 @@ class PoolCall:
         self._payload_blob = payload_blob
         self._obs_state = obs_state
         self._seed = seed
-
-    @property
-    def arena(self) -> SharedArena:
-        return self._pool.arena
 
     @property
     def workers(self) -> int:
@@ -795,18 +585,14 @@ class PoolCall:
     # -- teardown ------------------------------------------------------ #
 
     def end(self) -> None:
-        """Clear the installed per-call context on every worker and
-        recycle the call's shared segments (results must already be
-        copied out of them).
+        """Clear the installed per-call context on every worker.
 
         An abandoned dispatch (``imap`` raised on one worker's error, or
-        its consumer stopped early) leaves other workers mid-task: each
-        may still be writing into this call's segments, and its unread
-        reply would desync the next call's protocol. Wait every
-        in-flight worker out — discarding the now-unwanted reply —
-        before the segments return to the free list, and kill-and-
-        respawn any that stays busy past :data:`_DRAIN_TIMEOUT` (a dead
-        worker cannot write either)."""
+        its consumer stopped early) leaves other workers mid-task, and
+        each one's unread reply would desync the next call's protocol.
+        Wait every in-flight worker out — discarding the now-unwanted
+        reply — and kill-and-respawn any that stays busy past
+        :data:`_DRAIN_TIMEOUT`."""
         for index, worker in enumerate(self._workers):
             if worker.pending is None:
                 continue
@@ -819,8 +605,6 @@ class PoolCall:
         for worker in self._workers:
             with contextlib.suppress(Exception):
                 worker.conn.send(("end", self._installer))
-        self._pool.arena.release_all()
-        self._pool.arena.flush_counters()
 
 
 # ---------------------------------------------------------------------- #

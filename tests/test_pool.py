@@ -1,23 +1,21 @@
 """Persistent execution runtime (repro.engine.pool).
 
-The pool must be a pure *runtime* swap: warm long-lived workers with
-shared-memory arenas produce exactly the bits the in-process lane and
-the sequential walk produce. These tests pin that contract — the
-hypothesis bit-identity property across every pair family, the warm
-plan-cache behaviour on repeat calls, killed-worker respawn, the
-fallback rules (no fork / busy / unpicklable / jobs=1), idempotent
-shutdown, clean interpreter exit, and the :class:`SharedArena` segment
-lifecycle (freelist reuse, zero-copy round trips, no ``/dev/shm``
-residue).
+The pool must be a pure *runtime* swap: warm long-lived workers produce
+exactly the bits the in-process lane and the sequential walk produce.
+These tests pin that contract — the hypothesis bit-identity property
+across every pair family, kept words joined from pickled span buffers,
+the warm plan-cache behaviour on repeat calls, killed-worker respawn,
+the fallback rules (no fork / busy / unpicklable / jobs=1), idempotent
+shutdown, and clean interpreter exit with no shared-memory machinery
+loaded.
 """
 
-import glob
+import contextlib
 import os
 import signal
 import subprocess
 import sys
 import time
-import uuid
 
 import numpy as np
 import pytest
@@ -30,15 +28,7 @@ from repro.engine import pool as pool_mod
 from repro.engine import run_streaming
 from repro.engine.executor import run_batch
 from repro.engine.library import build_graph
-from repro.engine.pool import (
-    SharedArena,
-    SharedSink,
-    attach_view,
-    get_pool,
-    pool_call,
-    shutdown_pool,
-    unwrap,
-)
+from repro.engine.pool import get_pool, pool_call, shutdown_pool
 from repro.graph.graph import SCGraph
 from repro.graph.nodes import TransformNode
 from tests.helpers import assert_backends_equivalent, in_process_lane
@@ -52,13 +42,8 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _test_arena() -> SharedArena:
-    """A standalone arena with a unique segment prefix, so its names can
-    never collide with the process-wide pool's arena (same pid, both
-    counters start at zero) or linger in the worker attach cache."""
-    arena = SharedArena()
-    arena._prefix = f"{pool_mod._SHM_PREFIX}_{os.getpid()}_t{uuid.uuid4().hex[:8]}"
-    return arena
+# A task the pool can run: returns its argument and raises on 0.
+_ECHO = "repro._validation:check_stream_length"
 
 
 def _raise_on_unpickle():
@@ -125,16 +110,33 @@ class TestPoolBitIdentity:
             build_graph("fsm_zoo"), 2111, tile_words=(2,), jobs=3, pool="both"
         )
 
-    def test_keep_subset_through_shared_sinks(self):
-        # Kept nodes travel back through SharedSink segments; a keep
-        # subset at many spans must still assemble full-stream words.
+    def test_keep_subset_assembles_full_stream_words(self):
+        # Span tasks return their kept words by pickle and the parent
+        # joins them in span order. A keep subset over many spans must
+        # still assemble full-stream words on both lanes: at an odd
+        # length (uneven spans, a partial last word) and at batch > 1
+        # from a values override (n2 keeps one row, n4 and n8 three).
         plan = compile_graph(build_graph("depth8"))
-        ref = run_batch(plan, 1 << 14)
-        result = run_streaming(
-            plan, 1 << 14, tile_words=1, jobs=4, keep=("n8", "n4")
-        )
-        for name in ("n4", "n8"):
-            assert np.array_equal(result.words(name), ref.words(name)), name
+        keep = ("n8", "n4", "n2")
+        cases = [
+            (1 << 14, None),
+            (10007, None),
+            (1 << 14, {"src3": np.array([0.25, 0.5, 0.875])}),
+        ]
+        for length, values in cases:
+            ref = run_batch(plan, length, values=values)
+            for lane, pooled in ((contextlib.nullcontext, 1), (in_process_lane, 0)):
+                with lane(), obs.observe() as trace:
+                    result = run_streaming(
+                        plan, length, tile_words=1, jobs=4, values=values,
+                        keep=keep,
+                    )
+                counters = trace.metrics["counters"]
+                assert counters.get("engine.parallel.pooled", 0) == pooled
+                for name in keep:
+                    assert np.array_equal(result.words(name), ref.words(name)), (
+                        name, length, pooled,
+                    )
 
 
 # ---------------------------------------------------------------------- #
@@ -178,19 +180,6 @@ class TestWarmCaches:
         result = run_streaming(plans[0], 2048, tile_words=1, jobs=2)
         for name in plans[0].node_order:
             assert np.array_equal(result.words(name), ref.words(name)), name
-
-    def test_arena_freelist_recycles_across_calls(self):
-        # Call 2 reuses call 1's segments: reuse counter fires, and no
-        # extra segments accumulate in /dev/shm between calls.
-        plan = compile_graph(build_graph("depth8"))
-        run_streaming(plan, 1 << 14, tile_words=1, jobs=2)
-        pool = pool_mod._POOL
-        if pool is None or not pool.arena.available():
-            pytest.skip("shared-memory segments unavailable")
-        with obs.observe() as trace:
-            run_streaming(plan, 1 << 14, tile_words=1, jobs=2)
-        counters = trace.metrics["counters"]
-        assert counters.get("engine.pool.shm.reuse", 0) >= 1
 
 
 # ---------------------------------------------------------------------- #
@@ -258,11 +247,14 @@ class TestFallbacksAndLifecycle:
             pool._busy.release()
 
     def test_unpicklable_context_falls_back_with_counter(self):
-        with obs.observe() as trace:
-            with pool_call(2, context=lambda: None) as call:
-                assert call is None
-        counters = trace.metrics["counters"]
-        assert counters.get("engine.pool.fallback.unpicklable", 0) == 1
+        # A lambda does not pickle; a tuple pickles but cannot be weakly
+        # referenced, and the context's cache token needs a weakref.
+        for context in (lambda: None, (1, 2)):
+            with obs.observe() as trace:
+                with pool_call(2, context=context) as call:
+                    assert call is None
+            counters = trace.metrics["counters"]
+            assert counters.get("engine.pool.fallback.unpicklable", 0) == 1
 
     def test_shutdown_pool_is_idempotent_and_restartable(self):
         plan = compile_graph(build_graph("depth8"))
@@ -300,21 +292,15 @@ class TestFallbacksAndLifecycle:
         plan = compile_graph(build_graph("depth8"))
         ref = run_batch(plan, 4096)
         run_streaming(plan, 4096, tile_words=1, jobs=2)  # warm the pool
-        missing = ("__shm__", "repro_pool_no_such_segment", (4,), "<u8")
         for _ in range(3):  # several aborted calls, not just one
             with pool_call(2) as call:
                 if call is None:
                     pytest.skip("pool unavailable")
                 with pytest.raises(Exception):
-                    call.map(
-                        "repro.engine.pool:unwrap",
-                        [(1,), (missing,), (2,), (3,), (4,)],
-                    )
+                    call.map(_ECHO, [(1,), (0,), (2,), (3,), (4,)])
         with pool_call(2) as call:
             assert call is not None
-            assert call.map(
-                "repro.engine.pool:unwrap", [(i,) for i in range(8)]
-            ) == list(range(8))
+            assert call.map(_ECHO, [(i,) for i in range(1, 9)]) == list(range(1, 9))
         result = run_streaming(plan, 4096, tile_words=1, jobs=2)
         for name in plan.node_order:
             assert np.array_equal(result.words(name), ref.words(name)), name
@@ -331,9 +317,7 @@ class TestFallbacksAndLifecycle:
         with pool_call(2) as call:
             if call is None:
                 pytest.skip("pool unavailable")
-            assert call.map(
-                "repro.engine.pool:unwrap", [(i,) for i in range(4)]
-            ) == list(range(4))
+            assert call.map(_ECHO, [(i,) for i in range(1, 5)]) == list(range(1, 5))
 
     def test_fn_refs_are_restricted_to_repro(self):
         # Only the repro package itself: a module whose name merely
@@ -347,9 +331,8 @@ class TestFallbacksAndLifecycle:
         # The workers are non-daemonic, so multiprocessing's exit hook
         # joins them; the pool must stop them first, whatever the import
         # order. One pooled call, then a plain interpreter exit: it must
-        # return promptly and leave no shared segment behind.
+        # return promptly.
         code = "\n".join([
-            "import os",
             "from repro import engine, obs",
             "from repro.engine.library import build_graph",
             "plan = engine.compile(build_graph('depth8'))",
@@ -357,35 +340,59 @@ class TestFallbacksAndLifecycle:
             "    run = engine.run_streaming(plan, 1 << 16, tile_words=1,",
             "                               jobs=2, keep=('n8',))",
             "assert run.ones",
-            "print(os.getpid())",
         ])
         out = subprocess.run(
             [sys.executable, "-c", code], env=_subprocess_env(),
             capture_output=True, text=True, timeout=30,
         )
         assert out.returncode == 0, out.stderr
-        pid = int(out.stdout.split()[-1])
-        pattern = f"/dev/shm/{pool_mod._SHM_PREFIX}_{pid}_*"
-        assert glob.glob(pattern) == []
-        assert "leaked shared_memory" not in out.stderr
 
+    def test_growing_pool_exits_cleanly(self):
+        # Kept-nodes calls that grow the pool from two workers to three,
+        # then a plain interpreter exit: no traceback on the way out.
+        code = "\n".join([
+            "from repro import engine",
+            "from repro.engine.library import build_graph",
+            "plan = engine.compile(build_graph('fsm_zoo'))",
+            "for jobs in (2, 3):",
+            "    assert engine.run_streaming(plan, 1 << 16, tile_words=64,",
+            "                                jobs=jobs).packed",
+        ])
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=_subprocess_env(),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "Traceback" not in out.stderr, out.stderr
+        assert "KeyError" not in out.stderr, out.stderr
 
-# ---------------------------------------------------------------------- #
-# 4b. One resource tracker for the parent and every worker
-# ---------------------------------------------------------------------- #
-
-# Kept-nodes fsm_zoo calls that grow the pool from two workers to three:
-# the third worker is forked after the first calls attached segments.
-_GROW_POOL = "\n".join([
-    "import os",
-    "from repro import engine",
-    "from repro.engine.library import build_graph",
-    "plan = engine.compile(build_graph('fsm_zoo'))",
-    "for jobs in (2, 3):",
-    "    assert engine.run_streaming(plan, 1 << 16, tile_words=64,",
-    "                                jobs=jobs).packed",
-    "print(os.getpid(), flush=True)",
-])
+    def test_pooled_kept_words_load_no_shared_memory(self):
+        # Kept words come back by pickle: a pooled keep= call loads
+        # neither shared memory nor the resource tracker it would need.
+        code = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "from repro import engine, obs",
+            "from repro.engine.library import build_graph",
+            "plan = engine.compile(build_graph('fsm_zoo'))",
+            "keep = ('out', 'diff')",
+            "with obs.observe() as trace:",
+            "    pooled = engine.run_streaming(plan, 1 << 16, tile_words=64,",
+            "                                  jobs=2, keep=keep)",
+            "assert trace.metrics['counters'].get('engine.parallel.pooled') == 1",
+            "ref = engine.run_streaming(plan, 1 << 16, tile_words=64, keep=keep)",
+            "for name in keep:",
+            "    assert np.array_equal(pooled.words(name), ref.words(name)), name",
+            "print([m for m in ('multiprocessing.shared_memory',",
+            "                   'multiprocessing.resource_tracker')",
+            "       if m in sys.modules])",
+        ])
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=_subprocess_env(),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "[]", out.stdout
 
 
 def _subprocess_env() -> dict:
@@ -395,100 +402,3 @@ def _subprocess_env() -> dict:
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     return env
-
-
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
-class TestResourceTracker:
-    def test_growing_pool_prints_no_tracker_traceback(self):
-        # A worker's attach used to unregister the parent's segment from
-        # the tracker they share; the parent's unlink then made the
-        # tracker print a KeyError traceback at exit.
-        out = subprocess.run(
-            [sys.executable, "-c", _GROW_POOL], env=_subprocess_env(),
-            capture_output=True, text=True, timeout=60,
-        )
-        assert out.returncode == 0, out.stderr
-        assert "Traceback" not in out.stderr, out.stderr
-        assert "KeyError" not in out.stderr, out.stderr
-        pid = int(out.stdout.split()[-1])
-        assert glob.glob(f"/dev/shm/{pool_mod._SHM_PREFIX}_{pid}_*") == []
-
-    def test_killed_parent_leaves_no_segments(self):
-        # SIGKILL mid-call: the parent never unlinks, so the segments
-        # must go with the tracker once the parent and its workers exit.
-        code = _GROW_POOL + "\n" + "\n".join([
-            "while True:",
-            "    engine.run_streaming(plan, 1 << 18, tile_words=64, jobs=3)",
-        ])
-        proc = subprocess.Popen(
-            [sys.executable, "-c", code], env=_subprocess_env(),
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-        )
-        try:
-            pid = int(proc.stdout.readline())
-            time.sleep(0.5)  # a long kept-nodes call is in flight
-        finally:
-            proc.kill()
-            proc.wait(timeout=30)
-            proc.stdout.close()
-        pattern = f"/dev/shm/{pool_mod._SHM_PREFIX}_{pid}_*"
-        deadline = time.monotonic() + 30.0
-        while glob.glob(pattern) and time.monotonic() < deadline:
-            time.sleep(0.1)
-        left = glob.glob(pattern)
-        for path in left:
-            os.unlink(path)
-        assert left == []
-
-
-# ---------------------------------------------------------------------- #
-# 5. SharedArena segment lifecycle
-# ---------------------------------------------------------------------- #
-
-class TestSharedArena:
-    def test_roundtrip_and_freelist_reuse(self):
-        arena = _test_arena()
-        if not arena.available():
-            pytest.skip("shared-memory segments unavailable")
-        try:
-            view, desc = arena.empty((4, 2048), "<u8")
-            assert desc is not None and desc[0] == "__shm__"
-            view[...] = np.arange(4 * 2048, dtype="<u8").reshape(4, 2048)
-            assert np.array_equal(attach_view(desc), view)
-            assert np.array_equal(unwrap(desc), view)
-            misses = arena.misses
-            arena.release_all()
-            view2, desc2 = arena.empty((4, 2048), "<u8")
-            assert arena.hits >= 1 and arena.misses == misses  # recycled
-            assert not view2.any()  # recycled segments come back zeroed
-        finally:
-            arena.shutdown()
-
-    def test_unwrap_is_identity_for_plain_objects(self):
-        assert unwrap(42) == 42
-        arr = np.arange(3)
-        assert unwrap(arr) is arr
-        assert unwrap(("no", "descriptor")) == ("no", "descriptor")
-
-    def test_shared_sink_writes_at_word_offsets(self):
-        arena = _test_arena()
-        if not arena.available():
-            pytest.skip("shared-memory segments unavailable")
-        try:
-            view, desc = arena.empty((2, 4096), "<u8")
-            sink = SharedSink(desc)
-            tile = np.full((2, 3), 7, dtype="<u8")
-            sink.write(128, tile)  # bit offset 128 -> word 2
-            assert np.array_equal(view[:, 2:5], tile)
-            assert not view[:, :2].any() and not view[:, 5:].any()
-        finally:
-            arena.shutdown()
-
-    def test_no_leaked_segments_after_shutdown(self):
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this platform")
-        plan = compile_graph(build_graph("fsm_zoo"))
-        run_streaming(plan, 1 << 14, tile_words=1, jobs=2)
-        shutdown_pool()
-        pattern = f"/dev/shm/{pool_mod._SHM_PREFIX}_{os.getpid()}_*"
-        assert glob.glob(pattern) == []

@@ -14,7 +14,7 @@ import repro
 
 class TestTopLevelSurface:
     def test_version(self):
-        assert repro.__version__ == "1.18.0"
+        assert repro.__version__ == "1.19.0"
 
     def test_all_entries_resolve(self):
         for name in repro.__all__:
